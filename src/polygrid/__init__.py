@@ -13,7 +13,7 @@ from .grinberg import (GrinbergEquation, GrinbergPartition, check_prop_3_1,
                        equation_of, format_equation, solvable, solve,
                        tutte_reduced_equation, tutte_subbasis_equation,
                        verify_grinberg_identity)
-from .holes import HoleContext, PeelTrace, Verdict, decide, is_global_hole, peel
+from .holes import HoleContext, Verdict, decide, is_global_hole
 from .oracle import (AgreementReport, OracleResult, compare,
                      enumerate_polyominoes, gen_grid, hamilton_oracle)
 from .structure import (BasisGraph, ClawReport, VertexClass, boundary_edges,

@@ -13,12 +13,10 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from . import fixtures
 from .embedding import (PggParseError, PlanarEmbedding, parse_pgg,
                         trace_faces, write_pgg)
 from .grinberg import equation_of_graph, format_equation, solve
-from .holes import (HAMILTONIAN, UNVERIFIED, build_context, candidate_Cx,
-                    decide, is_global_hole)
+from .holes import HAMILTONIAN, UNVERIFIED, decide, hole_contexts
 from .oracle import (GridGenError, compare, enumerate_polyominoes, gen_grid,
                      hamilton_oracle, report_json)
 from .structure import BasisGraph, claw_d2_scan
@@ -112,16 +110,8 @@ def cmd_grinberg(args) -> int:
 
 def cmd_holes(args) -> int:
     g = _load(args.file)
-    basis = trace_faces(g)
-    bg = BasisGraph(g, basis)
-    contexts = []
-    for x in sorted(g.coords):
-        if g.degree(x) < 4:
-            continue
-        for cx in candidate_Cx(bg, x, max_size=args.max_cx):
-            ctx = build_context(bg, x, cx)
-            hole = is_global_hole(g, basis, ctx, max_cx=args.max_cx)
-            contexts.append((ctx, hole))
+    contexts = list(
+        hole_contexts(g, BasisGraph(g, trace_faces(g)), args.max_cx))
     if args.json:
         payload = {
             "graph": g.name,

@@ -9,9 +9,9 @@ and cycles are GF(2) vectors over edge ids represented as frozensets.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 from . import geometry
 
@@ -108,15 +108,7 @@ class PlanarEmbedding:
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        start = next(iter(self.coords))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(self.coords):
+        if len(reach(adj, next(iter(self.coords)))) != len(self.coords):
             raise PggParseError("graph is disconnected")
 
     def _ccw_sort(self, v: int, neighbours: Iterable[int]) -> List[int]:
@@ -153,19 +145,8 @@ class PlanarEmbedding:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def edge(self, eid: int) -> Tuple[int, int]:
-        return self.edges[eid]
-
     def edge_id(self, u: int, v: int) -> int:
         return self.edge_index[(u, v)]
-
-    def edge_vertices(self, edge_ids: Iterable[int]) -> FrozenSet[int]:
-        out = set()
-        for eid in edge_ids:
-            u, v = self.edges[eid]
-            out.add(u)
-            out.add(v)
-        return frozenset(out)
 
     def __repr__(self):
         return (f"PlanarEmbedding({self.name!r}, |V|={self.order}, "
@@ -337,6 +318,20 @@ def sym_diff_all(sets: Iterable[EdgeSet]) -> EdgeSet:
     return acc
 
 
+# -- connectivity ------------------------------------------------------------
+
+def reach(adj: Mapping[int, Iterable[int]], start: int) -> Set[int]:
+    """Vertices reachable from start in the graph with adjacency adj."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 # -- cycle classification ----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -361,18 +356,11 @@ def classify_edge_set(e: EdgeSet, g: PlanarEmbedding) -> CycleClass:
     if any(d != 2 for d in deg.values()):
         return CycleClass("other")
     components = 0
-    seen = set()
+    seen: Set[int] = set()
     for start in adj:
-        if start in seen:
-            continue
-        components += 1
-        seen.add(start)
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+        if start not in seen:
+            components += 1
+            seen |= reach(adj, start)
     if components == 1:
         return CycleClass("single-cycle", length=len(e))
     return CycleClass("disjoint-cycles", count=components)

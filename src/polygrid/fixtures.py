@@ -8,32 +8,29 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from .embedding import PlanarEmbedding
-from .oracle import cells_to_embedding, gen_grid
+from .oracle import cells_to_embedding
+
+
+def _lattice_cells(m: int, n: int) -> List[Tuple[int, int]]:
+    """The unit cells of gen_grid(m, n): an m x n vertex lattice."""
+    return [(cx, cy) for cx in range(m - 1) for cy in range(n - 1)]
 
 
 def square() -> PlanarEmbedding:
-    g = gen_grid(2, 2)
-    g.name = "square"
-    return g
+    return cells_to_embedding(_lattice_cells(2, 2), name="square")
 
 
 def domino() -> PlanarEmbedding:
     """2x3-vertex grid: two unit cells stacked."""
-    g = gen_grid(2, 3)
-    g.name = "domino"
-    return g
+    return cells_to_embedding(_lattice_cells(2, 3), name="domino")
 
 
 def grid3() -> PlanarEmbedding:
-    g = gen_grid(3, 3)
-    g.name = "grid3"
-    return g
+    return cells_to_embedding(_lattice_cells(3, 3), name="grid3")
 
 
 def grid4() -> PlanarEmbedding:
-    g = gen_grid(4, 4)
-    g.name = "grid4"
-    return g
+    return cells_to_embedding(_lattice_cells(4, 4), name="grid4")
 
 
 def fig8() -> PlanarEmbedding:

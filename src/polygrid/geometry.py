@@ -176,20 +176,3 @@ def _in_or_on_triangle(p, tri) -> bool:
     has_pos = d1 > 0 or d2 > 0 or d3 > 0
     return not (has_neg and has_pos)
 
-
-def convex_hull(points: Sequence[Point]):
-    """Andrew monotone chain; returns hull in counterclockwise order."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]

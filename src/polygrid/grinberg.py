@@ -12,12 +12,13 @@ enumeration of solutions.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .embedding import (EdgeSet, FaceBasis, PlanarEmbedding, enclosed_faces,
-                        is_hamilton_cycle, sym_diff_all)
+                        is_hamilton_cycle)
 from .structure import BasisGraph
 
 
@@ -37,7 +38,7 @@ class GrinbergEquation:
     def target(self) -> int:
         return self.order - 2
 
-    @property
+    @functools.cached_property
     def values(self) -> Tuple[int, ...]:
         return tuple(l - 2 for l in self.lengths)
 
@@ -51,7 +52,6 @@ class GrinbergEquation:
 class GrinbergPartition:
     inside: FrozenSet[int]
     outside: FrozenSet[int]
-    feasible: bool = True
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,13 @@ certifies, the verdict is CriterionUnverified rather than a bare claim.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Tuple
 
 from .embedding import (EdgeSet, FaceBasis, PlanarEmbedding, is_hamilton_cycle,
                         sym_diff_all, trace_faces)
 from .grinberg import equation_of_graph, solvable, solve
-from .structure import (CASE_I, CASE_II, BasisGraph, ClawReport, claw_d2_scan)
+from .structure import CASE_II, BasisGraph, ClawReport, claw_d2_scan
 
 HAMILTONIAN = "Hamiltonian"
 NO_SOLUTION = "NonHamiltonianNoSolution"
@@ -34,22 +34,6 @@ class HoleContext:
     cxe: Tuple[int, ...] = ()
     ce: Tuple[int, ...] = ()
     cv: Tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class PeelStep:
-    begin_vertex: int
-    removed_cx: Tuple[int, ...]
-    removed_cxe: Tuple[int, ...]
-    removed_ck: Tuple[int, ...]
-    equation_feasible_after: bool
-    skipped: Tuple[int, ...] = ()   # removals skipped to keep connectivity
-
-
-@dataclass(frozen=True)
-class PeelTrace:
-    steps: Tuple[PeelStep, ...]
-    residual: BasisGraph
 
 
 @dataclass(frozen=True)
@@ -166,7 +150,7 @@ def build_context(bg: BasisGraph, x: int,
     return HoleContext(x=x, cx=cx, ck=ck, cxe=cxe, ce=ce, cv=cv)
 
 
-# -- peeling -----------------------------------------------------------------
+# -- peeling and the hole search --------------------------------------------
 
 def _safe_remove(bg: BasisGraph, fid: int) -> Tuple[BasisGraph, bool]:
     """Remove fid unless it is not removable or would disconnect."""
@@ -178,122 +162,44 @@ def _safe_remove(bg: BasisGraph, fid: int) -> Tuple[BasisGraph, bool]:
     return candidate, True
 
 
-def _peel_at(bg: BasisGraph, x: int,
-             max_cx: int = 3) -> Tuple[BasisGraph, List[PeelStep]]:
-    """One beginning vertex: remove the first Cx candidate, then keep
-    stripping Cxe/Ck until no Ck remains or the equation goes infeasible."""
-    steps: List[PeelStep] = []
-    cxs = candidate_Cx(bg, x, max_size=max_cx)
-    if not cxs:
-        return bg, steps
-    cx = cxs[0]
-    bg = bg.remove_faces(cx)
-    first = True
+def peel_from(residual: BasisGraph, x: int) -> BasisGraph:
+    """Strip Cxe and then Ck at x until no Ck remains or Ck cannot be
+    removed; removals that would disconnect the residual are skipped."""
     while True:
-        ks = find_Ck(bg, x)
+        ks = find_Ck(residual, x)
         if not ks:
-            if first:
-                steps.append(PeelStep(x, cx, (), (),
-                                      solvable(equation_of_graph(bg))))
-            break
+            return residual
         ck = ks[0]
-        removed_cxe: List[int] = []
-        skipped: List[int] = []
-        for fid in _cxe_for(bg, x, ck):
-            bg, done = _safe_remove(bg, fid)
-            (removed_cxe if done else skipped).append(fid)
-        bg, done = _safe_remove(bg, ck)
-        removed_ck = (ck,) if done else ()
+        for fid in _cxe_for(residual, x, ck):
+            residual, _ = _safe_remove(residual, fid)
+        residual, done = _safe_remove(residual, ck)
         if not done:
-            skipped.append(ck)
-        feasible = solvable(equation_of_graph(bg))
-        steps.append(PeelStep(x, cx if first else (), tuple(removed_cxe),
-                              removed_ck, feasible, tuple(skipped)))
-        first = False
-        if not done or not feasible:
-            break
-    return bg, steps
-
-
-def peel(g: PlanarEmbedding, basis: Optional[FaceBasis] = None,
-         schedule: Optional[Sequence[int]] = None,
-         max_cx: int = 3) -> PeelTrace:
-    """Iterate the peeling procedure over beginning vertices.
-
-    Default schedule: ascending vertex id over vertices of degree >= 4.
-    """
-    if basis is None:
-        basis = trace_faces(g)
-    bg = BasisGraph(g, basis)
-    if schedule is None:
-        schedule = [v for v in sorted(g.coords) if g.degree(v) >= 4]
-    steps: List[PeelStep] = []
-    for x in schedule:
-        if bg.degree(x) < 4:
-            continue
-        bg, new_steps = _peel_at(bg, x, max_cx=max_cx)
-        steps.extend(new_steps)
-    return PeelTrace(tuple(steps), bg)
+            return residual
 
 
 def is_global_hole(g: PlanarEmbedding, basis: FaceBasis,
-                   ctx: HoleContext, max_cx: int = 3) -> bool:
+                   ctx: HoleContext) -> bool:
     """True when the fully peeled residual starting from ctx has an
     infeasible equation."""
     if not ctx.cx:
         return False
-    bg = BasisGraph(g, basis)
-    residual = bg.remove_faces(ctx.cx)
+    residual = BasisGraph(g, basis).remove_faces(ctx.cx)
     if not solvable(equation_of_graph(residual)):
         return False
-    while True:
-        ks = find_Ck(residual, ctx.x)
-        if not ks:
-            break
-        ck = ks[0]
-        for fid in _cxe_for(residual, ctx.x, ck):
-            residual, _ = _safe_remove(residual, fid)
-        residual, done = _safe_remove(residual, ck)
-        if not done:
-            break
-    return not solvable(equation_of_graph(residual))
+    return not solvable(equation_of_graph(peel_from(residual, ctx.x)))
 
 
-def local_hole_scan(g: PlanarEmbedding, basis: FaceBasis,
-                    max_cx: int = 3) -> List[HoleContext]:
-    """Diagnostic only: hole search repeated inside each extracted
-    Ck + Ce + Cv subgraph (the Cx-empty locality of the definition)."""
-    bg = BasisGraph(g, basis)
-    found = []
-    for fid in bg.face_ids:
-        neighbours = faces_sharing_edge(bg, fid)
-        corner = faces_sharing_only_vertices(bg, fid)
-        local = bg.restrict_to_faces([fid] + neighbours + corner)
-        for x in sorted(local.adjacency):
-            if local.degree(x) < 4:
-                continue
-            for cx in candidate_Cx(local, x, max_size=max_cx):
-                ctx = build_context(local, x, cx)
-                if _local_is_hole(local, ctx):
-                    found.append(ctx)
-    return found
-
-
-def _local_is_hole(local: BasisGraph, ctx: HoleContext) -> bool:
-    residual = local.remove_faces(ctx.cx)
-    if not solvable(equation_of_graph(residual)):
-        return False
-    while True:
-        ks = find_Ck(residual, ctx.x)
-        if not ks:
-            break
-        ck = ks[0]
-        for fid in _cxe_for(residual, ctx.x, ck):
-            residual, _ = _safe_remove(residual, fid)
-        residual, done = _safe_remove(residual, ck)
-        if not done:
-            break
-    return not solvable(equation_of_graph(residual))
+def hole_contexts(g: PlanarEmbedding, bg: BasisGraph,
+                  max_cx: int) -> Iterator[Tuple[HoleContext, bool]]:
+    """Every hole context the criterion searches, with its global-hole
+    test, in search order: ascending beginning vertex of degree >= 4, then
+    the lexicographic order of candidate_Cx."""
+    for x in sorted(g.coords):
+        if g.degree(x) < 4:
+            continue
+        for cx in candidate_Cx(bg, x, max_size=max_cx):
+            ctx = build_context(bg, x, cx)
+            yield ctx, is_global_hole(g, bg.basis, ctx)
 
 
 # -- the decision ------------------------------------------------------------
@@ -309,6 +215,8 @@ def decide(g: PlanarEmbedding, basis: Optional[FaceBasis] = None,
     bounded hole search; finally certificate attempts over solution
     partitions.
     """
+    if claw_mode not in ("strict", "lenient"):
+        raise ValueError(f"unknown claw mode {claw_mode!r}")
     reports = tuple(claw_d2_scan(g))
     case2 = tuple(r for r in reports if r.severity == CASE_II)
     if case2:
@@ -323,16 +231,10 @@ def decide(g: PlanarEmbedding, basis: Optional[FaceBasis] = None,
     if claw_mode == "strict" and reports:
         return Verdict(CLAW, claw_reports=reports,
                        details="claw(d2) case I present (strict reading)")
-    elif claw_mode not in ("strict", "lenient"):
-        raise ValueError(f"unknown claw mode {claw_mode!r}")
-    for x in sorted(g.coords):
-        if g.degree(x) < 4:
-            continue
-        for cx in candidate_Cx(bg, x, max_size=max_cx):
-            ctx = build_context(bg, x, cx)
-            if is_global_hole(g, basis, ctx, max_cx=max_cx):
-                return Verdict(GLOBAL_HOLE, hole=ctx,
-                               details=f"global hole at vertex {x}")
+    for ctx, hole in hole_contexts(g, bg, max_cx):
+        if hole:
+            return Verdict(GLOBAL_HOLE, hole=ctx,
+                           details=f"global hole at vertex {ctx.x}")
     for partition in solve(eq, limit=limit):
         cycle = sym_diff_all(basis.faces[fid].edges
                              for fid in sorted(partition.inside))

@@ -10,9 +10,9 @@ because another face still uses them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .embedding import EdgeSet, Face, FaceBasis, PlanarEmbedding
+from .embedding import Face, FaceBasis, PlanarEmbedding, reach
 
 CASE_I = "case-i"
 CASE_II = "case-ii"
@@ -125,17 +125,7 @@ class BasisGraph:
 
     def connected(self) -> bool:
         adj = self.adjacency
-        if not adj:
-            return True
-        start = next(iter(adj))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(adj)
+        return not adj or len(reach(adj, next(iter(adj)))) == len(adj)
 
     # -- removal -------------------------------------------------------------
 

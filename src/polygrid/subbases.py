@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .embedding import (FaceBasis, PlanarEmbedding, classify_edge_set,
-                        cycle_vertex_walk, trace_faces)
-from .holes import HAMILTONIAN, Verdict, decide
+                        cycle_vertex_walk, reach, trace_faces)
+from .holes import HAMILTONIAN, decide
 from .structure import BasisGraph
 
 
@@ -95,17 +95,10 @@ def _components(adj: Dict[int, Set[int]]) -> List[Tuple[int, ...]]:
     seen: Set[int] = set()
     comps = []
     for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
+        if start not in seen:
+            comp = reach(adj, start)
+            seen |= comp
+            comps.append(tuple(sorted(comp)))
     return comps
 
 

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from polygrid import fixtures, write_pgg
+from polygrid import decide, fixtures, write_pgg
 from polygrid.cli import main
+from polygrid.oracle import gen_grid
 
 
 @pytest.fixture
@@ -72,6 +73,21 @@ def test_holes_no_contexts(pgg, capsys):
     code, out, _ = run(capsys, "holes", pgg(fixtures.square()))
     assert code == 0
     assert "no hole contexts" in out
+
+
+def test_holes_lists_the_contexts_decide_searches(pgg, capsys):
+    # The 4x5 grid is Hamiltonian, yet the global-hole rule rejects it: the
+    # first global hole `holes` lists is the one decide reports.
+    g = gen_grid(4, 5)
+    code, out, _ = run(capsys, "holes", pgg(g), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["anyGlobalHole"] is True
+    first = next(c for c in payload["contexts"] if c["globalHole"])
+    hole = decide(g, claw_mode="lenient").hole
+    assert first == {"x": hole.x, "cx": list(hole.cx), "ck": hole.ck,
+                     "cxe": list(hole.cxe), "ce": list(hole.ce),
+                     "cv": list(hole.cv), "globalHole": True}
 
 
 def test_decide_exit_codes(pgg, capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from polygrid.geometry import (BoundaryPointError, convex_hull, interior_point,
+from polygrid.geometry import (BoundaryPointError, interior_point,
                                point_in_polygon, polygon_centroid,
                                segments_cross, signed_area2)
 
@@ -78,8 +78,3 @@ def test_segments_touching_interior():
 def test_signed_area_orientation():
     assert signed_area2(UNIT) == 2
     assert signed_area2(list(reversed(UNIT))) == -2
-
-
-def test_convex_hull():
-    pts = [(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)]
-    assert convex_hull(pts) == [(0, 0), (2, 0), (2, 2), (0, 2)]

@@ -4,7 +4,7 @@ from polygrid import trace_faces
 from polygrid.holes import (CLAW, GLOBAL_HOLE, HAMILTONIAN, NO_SOLUTION,
                             UNVERIFIED, build_context, candidate_Cx, decide,
                             faces_sharing_edge, faces_sharing_only_vertices,
-                            find_Ck, is_global_hole, local_hole_scan, peel)
+                            find_Ck, is_global_hole)
 from polygrid.embedding import is_hamilton_cycle
 from polygrid.oracle import gen_grid
 from polygrid.structure import CASE_I, CASE_II, BasisGraph
@@ -100,27 +100,6 @@ def test_is_global_hole_requires_cx(grid4):
     assert not is_global_hole(grid4, basis, ctx)
 
 
-def test_peel_grid4_keeps_feasibility(grid4):
-    trace = peel(grid4)
-    assert all(step.equation_feasible_after for step in trace.steps)
-    assert trace.residual.connected()
-
-
-def test_peel_empty_schedule(grid3):
-    trace = peel(grid3, schedule=[])
-    assert trace.steps == ()
-    assert trace.residual.face_ids == tuple(range(4))
-
-
-def test_peel_deterministic(grid4):
-    assert peel(grid4).steps == peel(grid4).steps
-
-
-def test_local_hole_scan_clean_fixtures(square, domino, grid3, grid4):
-    for g in (square, domino, grid3, grid4):
-        assert local_hole_scan(g, trace_faces(g)) == []
-
-
 def test_decide_square(square):
     v = decide(square)
     assert v.tag == HAMILTONIAN
@@ -160,9 +139,12 @@ def test_decide_twin_nonagons(twin_nonagons):
     assert is_hamilton_cycle(v.certificate, twin_nonagons)
 
 
-def test_decide_rejects_unknown_mode(square):
-    with pytest.raises(ValueError):
-        decide(square, claw_mode="medium")
+def test_decide_rejects_unknown_mode(square, fig8, grid3):
+    # fig8 ends at a case-II claw and grid3 at an infeasible equation; the
+    # mode is rejected before either.
+    for g in (square, fig8, grid3):
+        with pytest.raises(ValueError):
+            decide(g, claw_mode="medium")
 
 
 def test_decide_deterministic(grid4):
