@@ -82,11 +82,33 @@ class PlanarEmbedding:
         self._check_connected()
 
     def _check_planarity(self):
+        """Reject crossing edges and vertices on foreign edges.
+
+        Segments are bucketed into square cells whose side is the longest
+        edge extent, so each segment's bounding box touches at most four
+        cells and only segments sharing a cell are compared.  Pairs are
+        tested in ascending (i, j) order, then each vertex, in the order of
+        `coords`, against the edges of its own cell in edge order, so the
+        first error is the one a scan of all pairs would report.
+        """
         segs = [(self.coords[u], self.coords[v]) for u, v in self.edges]
-        n = len(segs)
-        for i in range(n):
-            a, b = segs[i]
-            for j in range(i + 1, n):
+        side = max([1] + [max(abs(a[0] - b[0]), abs(a[1] - b[1]))
+                          for a, b in segs])
+        cells: Dict[Tuple[int, int], List[int]] = {}
+        seg_cells: List[List[Tuple[int, int]]] = []
+        for i, (a, b) in enumerate(segs):
+            touched = [(cx, cy)
+                       for cx in range(min(a[0], b[0]) // side,
+                                       max(a[0], b[0]) // side + 1)
+                       for cy in range(min(a[1], b[1]) // side,
+                                       max(a[1], b[1]) // side + 1)]
+            for cell in touched:
+                cells.setdefault(cell, []).append(i)
+            seg_cells.append(touched)
+        for i, (a, b) in enumerate(segs):
+            later = sorted({j for cell in seg_cells[i] for j in cells[cell]
+                            if j > i})
+            for j in later:
                 c, d = segs[j]
                 if geometry.segments_cross(a, b, c, d):
                     raise PggParseError(
@@ -94,10 +116,11 @@ class PlanarEmbedding:
         # A vertex sitting in the interior of an unrelated edge also breaks
         # the drawing even though no two segments cross.
         for vid, p in self.coords.items():
-            for (u, v), (a, b) in zip(self.edges, segs):
+            for i in cells.get((p[0] // side, p[1] // side), ()):
+                u, v = self.edges[i]
                 if vid in (u, v):
                     continue
-                if geometry.on_segment(p, a, b):
+                if geometry.on_segment(p, *segs[i]):
                     raise PggParseError(
                         f"vertex {vid} lies on edge {u} {v}")
 
@@ -147,6 +170,15 @@ class PlanarEmbedding:
 
     def edge_id(self, u: int, v: int) -> int:
         return self.edge_index[(u, v)]
+
+    @functools.cached_property
+    def incident_edge_ids(self) -> Dict[int, Tuple[int, ...]]:
+        """Ids of the edges at each vertex, ascending."""
+        out: Dict[int, List[int]] = {v: [] for v in self.coords}
+        for eid, (u, v) in enumerate(self.edges):
+            out[u].append(eid)
+            out[v].append(eid)
+        return {v: tuple(eids) for v, eids in out.items()}
 
     def __repr__(self):
         return (f"PlanarEmbedding({self.name!r}, |V|={self.order}, "
@@ -235,7 +267,7 @@ class Face:
     def length(self) -> int:
         return len(self.cycle)
 
-    @property
+    @functools.cached_property
     def vertices(self) -> FrozenSet[int]:
         return frozenset(self.cycle)
 
@@ -252,6 +284,15 @@ class FaceBasis:
 
     def face_ids(self) -> Tuple[int, ...]:
         return tuple(range(len(self.faces)))
+
+    @functools.cached_property
+    def vertex_face_ids(self) -> Dict[int, Tuple[int, ...]]:
+        """Ids of the faces on each vertex, ascending."""
+        out: Dict[int, List[int]] = {}
+        for fid, face in enumerate(self.faces):
+            for v in face.cycle:
+                out.setdefault(v, []).append(fid)
+        return {v: tuple(fids) for v, fids in out.items()}
 
 
 def trace_faces(g: PlanarEmbedding) -> FaceBasis:

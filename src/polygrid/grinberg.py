@@ -102,24 +102,21 @@ def format_equation(eq: GrinbergEquation) -> str:
 
 # -- solving -----------------------------------------------------------------
 
-def _suffix_reachable(values: Sequence[int], target: int) -> List[set]:
-    n = len(values)
-    reach: List[set] = [set() for _ in range(n + 1)]
-    reach[n] = {0}
-    for j in range(n - 1, -1, -1):
+def _suffix_reachable(values: Sequence[int], target: int) -> List[int]:
+    """reach[j] has bit s set when some subset of values[j:] sums to
+    s <= target; requires target >= 0."""
+    mask = (1 << (target + 1)) - 1
+    reach = [0] * len(values) + [1]
+    for j in range(len(values) - 1, -1, -1):
         nxt = reach[j + 1]
-        cur = set(nxt)
-        v = values[j]
-        for s in nxt:
-            if s + v <= target:
-                cur.add(s + v)
-        reach[j] = cur
+        reach[j] = (nxt | (nxt << values[j])) & mask
     return reach
 
 
 def solvable(eq: GrinbergEquation) -> bool:
-    reach = _suffix_reachable(eq.values, eq.target)
-    return eq.target in reach[0] and eq.target > 0
+    target = eq.target
+    return target > 0 and bool(_suffix_reachable(eq.values, target)[0]
+                               >> target & 1)
 
 
 def solve(eq: GrinbergEquation, limit: int = 64) -> List[GrinbergPartition]:
@@ -136,7 +133,7 @@ def solve(eq: GrinbergEquation, limit: int = 64) -> List[GrinbergPartition]:
         return []
     n = len(values)
     reach = _suffix_reachable(values, target)
-    if target not in reach[0]:
+    if not reach[0] >> target & 1:
         return []
     everything = frozenset(eq.face_ids)
     out: List[GrinbergPartition] = []
@@ -151,11 +148,12 @@ def solve(eq: GrinbergEquation, limit: int = 64) -> List[GrinbergPartition]:
         if remaining == 0:
             emit(chosen)
             return
-        if j == n or remaining not in reach[j]:
+        if j == n or not reach[j] >> remaining & 1:
             return
-        if remaining - values[j] >= 0 and remaining - values[j] in reach[j + 1]:
+        rest = remaining - values[j]
+        if rest >= 0 and reach[j + 1] >> rest & 1:
             chosen.append(j)
-            dfs(j + 1, remaining - values[j], chosen)
+            dfs(j + 1, rest, chosen)
             chosen.pop()
         dfs(j + 1, remaining, chosen)
 

@@ -10,7 +10,6 @@ certifies, the verdict is CriterionUnverified rather than a bare claim.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
@@ -47,6 +46,36 @@ class Verdict:
 
 # -- hole context search -----------------------------------------------------
 
+def _cx_walk(bg: BasisGraph, x: int,
+             max_size: int) -> Iterator[Tuple[Tuple[int, ...], BasisGraph]]:
+    """The qualifying C_x sets with their residuals, in lexicographic order.
+
+    A depth-first walk over ascending face ids: each set extends its
+    prefix's residual by one removal, and a face that is not removable at
+    its turn prunes every set that extends it.  Preorder over the walk is
+    the lexicographic order of the sets.
+    """
+    if bg.degree(x) < 4 or max_size < 1:
+        return
+    fids = bg.face_ids
+
+    def walk(residual: BasisGraph, cx: Tuple[int, ...], start: int):
+        for k in range(start, len(fids)):
+            fid = fids[k]
+            if not residual.is_removable(fid):
+                continue
+            child = residual.remove_face(fid)
+            subset = cx + (fid,)
+            if (child.degree(x) == 4
+                    and child.vertex_class(x).tag == "boundary"
+                    and solvable(equation_of_graph(child))):
+                yield subset, child
+            if len(subset) < max_size:
+                yield from walk(child, subset, k + 1)
+
+    yield from walk(bg, (), 0)
+
+
 def candidate_Cx(bg: BasisGraph, x: int,
                  max_size: int = 3) -> List[Tuple[int, ...]]:
     """Face-index sets whose sequential removal turns x into a boundary
@@ -55,31 +84,7 @@ def candidate_Cx(bg: BasisGraph, x: int,
     Every prefix of a set (in ascending index order) must be removable at
     its turn.  Results in lexicographic order.
     """
-    if bg.degree(x) < 4:
-        return []
-    out = []
-    fids = bg.face_ids
-    subsets = []
-    for size in range(1, max_size + 1):
-        subsets.extend(itertools.combinations(fids, size))
-    for subset in sorted(subsets):
-        residual = bg
-        ok = True
-        for fid in subset:
-            if not residual.is_removable(fid):
-                ok = False
-                break
-            residual = residual.remove_face(fid)
-        if not ok:
-            continue
-        if residual.degree(x) != 4:
-            continue
-        if residual.vertex_class(x).tag != "boundary":
-            continue
-        if not solvable(equation_of_graph(residual)):
-            continue
-        out.append(subset)
-    return out
+    return [cx for cx, _ in _cx_walk(bg, x, max_size)]
 
 
 def find_Ck(bg: BasisGraph, x: int) -> List[int]:
@@ -134,9 +139,8 @@ def _cxe_for(bg: BasisGraph, x: int, ck: int) -> List[int]:
     return out
 
 
-def build_context(bg: BasisGraph, x: int,
-                  cx: Tuple[int, ...]) -> HoleContext:
-    residual = bg.remove_faces(cx)
+def _context_of(residual: BasisGraph, x: int,
+                cx: Tuple[int, ...]) -> HoleContext:
     ks = find_Ck(residual, x)
     ck = ks[0] if ks else None
     cxe: Tuple[int, ...] = ()
@@ -148,6 +152,11 @@ def build_context(bg: BasisGraph, x: int,
                    if residual.is_removable(f))
         cv = tuple(faces_sharing_only_vertices(residual, ck))
     return HoleContext(x=x, cx=cx, ck=ck, cxe=cxe, ce=ce, cv=cv)
+
+
+def build_context(bg: BasisGraph, x: int,
+                  cx: Tuple[int, ...]) -> HoleContext:
+    return _context_of(bg.remove_faces(cx), x, cx)
 
 
 # -- peeling and the hole search --------------------------------------------
@@ -177,6 +186,11 @@ def peel_from(residual: BasisGraph, x: int) -> BasisGraph:
             return residual
 
 
+def _peels_to_hole(residual: BasisGraph, x: int) -> bool:
+    """Whether peeling at x drives a feasible C_x residual infeasible."""
+    return not solvable(equation_of_graph(peel_from(residual, x)))
+
+
 def is_global_hole(g: PlanarEmbedding, basis: FaceBasis,
                    ctx: HoleContext) -> bool:
     """True when the fully peeled residual starting from ctx has an
@@ -186,20 +200,23 @@ def is_global_hole(g: PlanarEmbedding, basis: FaceBasis,
     residual = BasisGraph(g, basis).remove_faces(ctx.cx)
     if not solvable(equation_of_graph(residual)):
         return False
-    return not solvable(equation_of_graph(peel_from(residual, ctx.x)))
+    return _peels_to_hole(residual, ctx.x)
 
 
 def hole_contexts(g: PlanarEmbedding, bg: BasisGraph,
                   max_cx: int) -> Iterator[Tuple[HoleContext, bool]]:
     """Every hole context the criterion searches, with its global-hole
     test, in search order: ascending beginning vertex of degree >= 4, then
-    the lexicographic order of candidate_Cx."""
+    the lexicographic order of the C_x sets.
+
+    Each context is built and peeled from the residual the C_x walk
+    already holds, whose equation the walk has found feasible.
+    """
     for x in sorted(g.coords):
         if g.degree(x) < 4:
             continue
-        for cx in candidate_Cx(bg, x, max_size=max_cx):
-            ctx = build_context(bg, x, cx)
-            yield ctx, is_global_hole(g, bg.basis, ctx)
+        for cx, residual in _cx_walk(bg, x, max_cx):
+            yield _context_of(residual, x, cx), _peels_to_hole(residual, x)
 
 
 # -- the decision ------------------------------------------------------------

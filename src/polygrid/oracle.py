@@ -10,15 +10,15 @@ side by side and persists any disagreement as a `.pgg` candidate file.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .embedding import (EdgeSet, PlanarEmbedding, is_hamilton_cycle,
                         trace_faces, write_pgg)
-from .grinberg import equation_of_graph, solvable
-from .holes import HAMILTONIAN, NO_SOLUTION, UNVERIFIED, Verdict, decide
-from .structure import BasisGraph
+# Unused here, but the benchmark tracer wraps `oracle.solvable` by name.
+from .grinberg import solvable
+from .holes import HAMILTONIAN, NO_SOLUTION, UNVERIFIED, decide
 
 
 class GridGenError(ValueError):

@@ -41,7 +41,11 @@ class ClawReport:
 
 
 class BasisGraph:
-    """An embedding together with its surviving edges and basis faces."""
+    """An embedding together with its surviving edges and basis faces.
+
+    A graph made by `remove_face` derives its weights from its parent's
+    and, when the removal was not forced, inherits the parent's order.
+    """
 
     def __init__(self, g: PlanarEmbedding, basis: FaceBasis,
                  edge_ids: Optional[FrozenSet[int]] = None,
@@ -52,8 +56,10 @@ class BasisGraph:
                          if edge_ids is None else frozenset(edge_ids))
         self.face_ids = (basis.face_ids() if face_ids is None
                          else tuple(sorted(face_ids)))
+        self._face_set = frozenset(self.face_ids)
         self._adjacency: Optional[Dict[int, List[int]]] = None
         self._weights: Optional[Dict[int, int]] = None
+        self._order: Optional[int] = None
 
     # -- derived structure ---------------------------------------------------
 
@@ -74,10 +80,14 @@ class BasisGraph:
     @property
     def order(self) -> int:
         """Number of non-isolated vertices."""
-        return len(self.adjacency)
+        if self._order is None:
+            self._order = len(self.adjacency)
+        return self._order
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency.get(v, ()))
+        edge_ids = self.edge_ids
+        return sum(1 for eid in self.g.incident_edge_ids.get(v, ())
+                   if eid in edge_ids)
 
     @property
     def weights(self) -> Dict[int, int]:
@@ -98,12 +108,14 @@ class BasisGraph:
         return self._weights
 
     def faces_on_vertex(self, v: int) -> FrozenSet[int]:
-        return frozenset(
-            fid for fid in self.face_ids if v in self.face(fid).vertices)
+        face_set = self._face_set
+        return frozenset(fid for fid in self.basis.vertex_face_ids.get(v, ())
+                         if fid in face_set)
 
     def incident_edges(self, v: int) -> List[int]:
-        return sorted(
-            eid for eid in self.edge_ids if v in self.g.edges[eid])
+        edge_ids = self.edge_ids
+        return [eid for eid in self.g.incident_edge_ids.get(v, ())
+                if eid in edge_ids]
 
     def vertex_class(self, v: int) -> VertexClass:
         cycles_on = self.faces_on_vertex(v)
@@ -129,30 +141,43 @@ class BasisGraph:
 
     # -- removal -------------------------------------------------------------
 
+    def _doomed(self, fid: int) -> FrozenSet[int]:
+        """The face's weight-1 edges, which its removal deletes."""
+        w = self.weights
+        return frozenset(eid for eid in self.face(fid).edges if w[eid] == 1)
+
     def is_removable(self, fid: int) -> bool:
         """A face is removable when deleting its weight-1 edges isolates no
         vertex (graph order unchanged)."""
-        if fid not in self.face_ids:
+        if fid not in self._face_set:
             return False
-        doomed = {eid for eid in self.face(fid).edges
-                  if self.weights[eid] == 1}
+        doomed = self._doomed(fid)
         for v in self.face(fid).vertices:
             if all(eid in doomed for eid in self.incident_edges(v)):
                 return False
         return True
 
     def remove_face(self, fid: int, force: bool = False) -> "BasisGraph":
-        if fid not in self.face_ids:
+        if fid not in self._face_set:
             raise ValueError(f"face {fid} is not in the surviving basis")
         if not force and not self.is_removable(fid):
             raise NotRemovableError(
                 f"face {fid} is not removable (a vertex would be isolated)")
-        doomed = {eid for eid in self.face(fid).edges
-                  if self.weights[eid] == 1}
-        return BasisGraph(
+        doomed = self._doomed(fid)
+        child = BasisGraph(
             self.g, self.basis,
             edge_ids=self.edge_ids - doomed,
             face_ids=tuple(f for f in self.face_ids if f != fid))
+        weights = dict(self.weights)
+        for eid in self.face(fid).edges:
+            if eid in doomed:
+                del weights[eid]
+            else:
+                weights[eid] -= 1
+        child._weights = weights
+        if not force:
+            child._order = self.order
+        return child
 
     def remove_faces(self, fids: Iterable[int], force: bool = False) -> "BasisGraph":
         bg = self
@@ -201,16 +226,6 @@ def claw_d2_scan(g: PlanarEmbedding) -> List[ClawReport]:
             severity = CASE_I if d2 == 2 else CASE_II
             reports.append(ClawReport(v, len(neighbours), d2, severity))
     return reports
-
-
-def claw_free(g: PlanarEmbedding, mode: str = "strict") -> bool:
-    """strict: no Case I or Case II anywhere; lenient: no Case II."""
-    reports = claw_d2_scan(g)
-    if mode == "strict":
-        return not reports
-    if mode == "lenient":
-        return not any(r.severity == CASE_II for r in reports)
-    raise ValueError(f"unknown claw mode {mode!r}")
 
 
 def is_removable(fid: int, basis: FaceBasis, g: PlanarEmbedding) -> bool:

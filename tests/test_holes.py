@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from polygrid import trace_faces
@@ -6,8 +8,9 @@ from polygrid.holes import (CLAW, GLOBAL_HOLE, HAMILTONIAN, NO_SOLUTION,
                             faces_sharing_edge, faces_sharing_only_vertices,
                             find_Ck, is_global_hole)
 from polygrid.embedding import is_hamilton_cycle
+from polygrid.grinberg import equation_of_graph, solvable
 from polygrid.oracle import gen_grid
-from polygrid.structure import CASE_I, CASE_II, BasisGraph
+from polygrid.structure import CASE_I, CASE_II, BasisGraph, claw_d2_scan
 
 
 def vertex_at(g, xy):
@@ -43,6 +46,41 @@ def test_candidate_cx_grid4_centre(grid4):
         residual = bg.remove_faces(cx)
         assert residual.degree(x) == 4
         assert residual.vertex_class(x).tag == "boundary"
+
+
+def _replayed_candidate_cx(bg, x, max_size):
+    """Reference: replay every face subset from the full graph."""
+    if bg.degree(x) < 4:
+        return []
+    subsets = []
+    for size in range(1, max_size + 1):
+        subsets.extend(itertools.combinations(bg.face_ids, size))
+    out = []
+    for subset in sorted(subsets):
+        residual = bg
+        for fid in subset:
+            if not residual.is_removable(fid):
+                break
+            residual = residual.remove_face(fid)
+        else:
+            if (residual.degree(x) == 4
+                    and residual.vertex_class(x).tag == "boundary"
+                    and solvable(equation_of_graph(residual))):
+                out.append(subset)
+    return out
+
+
+def test_candidate_cx_matches_replayed_subsets(grid4):
+    graphs = [grid4, gen_grid(4, 5), gen_grid(5, 5),
+              gen_grid(5, 5, [(1, 1), (1, 2)]),
+              gen_grid(5, 6, [(1, 1), (2, 1)]),
+              gen_grid(6, 5, [(1, 1), (2, 1), (2, 2)])]
+    for g in graphs:
+        bg = BasisGraph(g, trace_faces(g))
+        for x in sorted(g.coords):
+            for max_size in (1, 2, 3):
+                assert candidate_Cx(bg, x, max_size) == \
+                    _replayed_candidate_cx(bg, x, max_size), (g.name, x)
 
 
 def test_find_ck_grid4_before_peel(grid4):
@@ -131,6 +169,15 @@ def test_decide_grid4(grid4):
     v = decide(grid4)
     assert v.tag == HAMILTONIAN
     assert is_hamilton_cycle(v.certificate, grid4)
+
+
+def test_decide_claw_modes(domino, fig8, grid4):
+    # Case I claws rule a graph out only under the strict reading; a Case II
+    # claw rules it out under both; a claw-free graph has no reports.
+    assert decide(domino).tag == CLAW
+    assert decide(domino, claw_mode="lenient").tag != CLAW
+    assert decide(fig8, claw_mode="lenient").tag == CLAW
+    assert claw_d2_scan(grid4) == []
 
 
 def test_decide_twin_nonagons(twin_nonagons):

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polygrid import trace_faces
-from polygrid.embedding import sym_diff, sym_diff_all
+from polygrid import geometry
+from polygrid.embedding import (PggParseError, PlanarEmbedding, sym_diff,
+                                sym_diff_all)
 from polygrid.grinberg import (GrinbergEquation, count_solutions, solvable,
                                solve)
 from polygrid.oracle import cells_to_embedding, enumerate_polyominoes
@@ -132,3 +134,70 @@ def test_random_subset_xor_stays_in_cycle_space():
                 for v in g.edges[eid]:
                     deg[v] = deg.get(v, 0) + 1
             assert all(d % 2 == 0 for d in deg.values())
+
+
+def _pairwise_planarity(coords, edges):
+    """Reference: every pair of edges, then every vertex against every
+    edge."""
+    segs = [(coords[u], coords[v]) for u, v in edges]
+    for i in range(len(segs)):
+        for j in range(i + 1, len(segs)):
+            if geometry.segments_cross(*segs[i], *segs[j]):
+                raise PggParseError(f"edges {edges[i]} and {edges[j]} cross")
+    for vid, p in coords.items():
+        for (u, v), (a, b) in zip(edges, segs):
+            if vid not in (u, v) and geometry.on_segment(p, a, b):
+                raise PggParseError(f"vertex {vid} lies on edge {u} {v}")
+
+
+@st.composite
+def drawings(draw):
+    # Small spans make collinear overlaps and vertices on edges common and
+    # the cells small; wide spans make long edges.
+    span = draw(st.sampled_from([3, 40]))
+    coordinate = st.integers(min_value=-span, max_value=span)
+    points = draw(st.lists(st.tuples(coordinate, coordinate),
+                           min_size=2, max_size=7, unique=True))
+    # Points at or next to the midpoint of two others, so that edges from
+    # them can overlap collinear edges.
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                              max_size=3)):
+        (ax, ay), (bx, by) = points[i % len(points)], points[j % len(points)]
+        mid = ((ax + bx) // 2, (ay + by) // 2)
+        if mid not in points:
+            points.append(mid)
+    ids = draw(st.permutations(range(len(points))))
+    coords = dict(zip(ids, points))
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=14))
+    edges, seen = [], set()
+    for u, v in pairs:
+        if u != v and frozenset((u, v)) not in seen:
+            seen.add(frozenset((u, v)))
+            edges.append((u, v))
+    # Unconnected vertices at or next to an edge's midpoint.
+    for k in draw(st.lists(st.integers(0, 13), max_size=2)):
+        if edges:
+            (ax, ay), (bx, by) = (coords[w] for w in edges[k % len(edges)])
+            mid = ((ax + bx) // 2, (ay + by) // 2)
+            if mid not in coords.values():
+                coords[len(coords)] = mid
+    return coords, tuple(edges)
+
+
+def _error(check):
+    try:
+        check()
+    except PggParseError as exc:
+        return str(exc)
+    return None
+
+
+@given(drawings())
+@settings(max_examples=300)
+def test_bucketed_planarity_matches_pairwise_scan(drawing):
+    coords, edges = drawing
+    g = object.__new__(PlanarEmbedding)
+    g.coords, g.edges = coords, edges
+    assert _error(g._check_planarity) == _error(
+        lambda: _pairwise_planarity(coords, edges))

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 from polygrid import trace_faces
 from polygrid.oracle import gen_grid
 from polygrid.structure import (CASE_I, CASE_II, BasisGraph, NotRemovableError,
-                                boundary_edges, claw_d2_scan, claw_free,
+                                boundary_edges, claw_d2_scan,
                                 classify_vertex, edge_weights, is_removable,
                                 removal)
 
@@ -127,13 +129,6 @@ def test_claw_scan_matches_naive_double_loop(domino, grid3, grid4, fig8):
         assert got == naive
 
 
-def test_claw_free_modes(domino, fig8, grid4):
-    assert not claw_free(domino, "strict")
-    assert claw_free(domino, "lenient")
-    assert not claw_free(fig8, "lenient")
-    assert claw_free(grid4, "strict")
-
-
 def test_removable_grid4_centre(grid4):
     basis = trace_faces(grid4)
     bg = BasisGraph(grid4, basis)
@@ -176,6 +171,40 @@ def test_removal_recount_equivalence(grid4):
         fresh = BasisGraph(grid4, basis, edge_ids=after.edge_ids,
                            face_ids=after.face_ids)
         assert after.weights == fresh.weights
+
+
+def _assert_same_structure(bg, fresh):
+    assert bg.weights == fresh.weights
+    assert bg.order == fresh.order
+    for v in bg.g.coords:
+        assert bg.degree(v) == fresh.degree(v)
+        assert bg.incident_edges(v) == fresh.incident_edges(v)
+        assert bg.faces_on_vertex(v) == fresh.faces_on_vertex(v)
+        assert bg.vertex_class(v) == fresh.vertex_class(v)
+
+
+def test_removal_chains_match_fresh_graphs(grid4, twin_nonagons):
+    rng = random.Random(7)
+    graphs = [grid4, twin_nonagons, gen_grid(4, 5), gen_grid(5, 5),
+              gen_grid(5, 6, [(1, 1), (2, 1)])]
+    for g in graphs:
+        basis = trace_faces(g)
+        for _ in range(20):
+            bg = BasisGraph(g, basis)
+            for _ in range(rng.randint(1, 3)):
+                removable = [f for f in bg.face_ids if bg.is_removable(f)]
+                if not removable:
+                    break
+                bg = bg.remove_face(rng.choice(removable))
+                _assert_same_structure(bg, BasisGraph(
+                    g, basis, edge_ids=bg.edge_ids, face_ids=bg.face_ids))
+            if bg.face_ids:
+                # A forced removal may isolate vertices, so the order is
+                # recounted rather than inherited.
+                forced = bg.remove_face(rng.choice(bg.face_ids), force=True)
+                _assert_same_structure(forced, BasisGraph(
+                    g, basis, edge_ids=forced.edge_ids,
+                    face_ids=forced.face_ids))
 
 
 def test_removal_chain_on_strip():
