@@ -294,6 +294,16 @@ class FaceBasis:
                 out.setdefault(v, []).append(fid)
         return {v: tuple(fids) for v, fids in out.items()}
 
+    @functools.cached_property
+    def edge_face_ids(self) -> Dict[int, Tuple[int, ...]]:
+        """Ids of the faces on each edge, ascending: two on an inner edge,
+        one on an outer edge and none on a bridge."""
+        out: Dict[int, List[int]] = {eid: [] for eid in self.outer_edges}
+        for fid, face in enumerate(self.faces):
+            for eid in face.edges:
+                out.setdefault(eid, []).append(fid)
+        return {eid: tuple(fids) for eid, fids in out.items()}
+
 
 def trace_faces(g: PlanarEmbedding) -> FaceBasis:
     """Trace all faces by rotation-system walking.
@@ -439,15 +449,28 @@ def cycle_vertex_walk(e: EdgeSet, g: PlanarEmbedding) -> List[int]:
 
 def enclosed_faces(c: EdgeSet, basis: FaceBasis,
                    g: PlanarEmbedding) -> FrozenSet[int]:
-    """Indices of bounded faces lying strictly inside the single cycle c."""
+    """Indices of bounded faces lying strictly inside the single cycle c.
+
+    A parity fill over the faces: the outer face is outside, and stepping
+    across an edge to a neighbouring face switches between inside and
+    outside exactly when the edge lies on c.
+    """
     cls = classify_edge_set(c, g)
     if cls.tag != "single-cycle":
         raise ValueError(f"edge set is not a single cycle: {cls.tag}")
-    walk = cycle_vertex_walk(c, g)
-    polygon = [g.coords[v] for v in walk]
-    inside = set()
-    for idx, face in enumerate(basis.faces):
-        rep = geometry.interior_point([g.coords[v] for v in face.cycle])
-        if geometry.point_in_polygon(rep, polygon):
-            inside.add(idx)
-    return frozenset(inside)
+    edge_faces = basis.edge_face_ids
+    inside: Dict[int, bool] = {}
+    stack: List[int] = []
+    for eid in basis.outer_edges:
+        for fid in edge_faces[eid]:
+            if fid not in inside:
+                inside[fid] = eid in c
+                stack.append(fid)
+    while stack:
+        fid = stack.pop()
+        for eid in basis.faces[fid].edges:
+            for other in edge_faces[eid]:
+                if other not in inside:
+                    inside[other] = inside[fid] != (eid in c)
+                    stack.append(other)
+    return frozenset(fid for fid, flag in inside.items() if flag)

@@ -11,7 +11,7 @@ certifies, the verdict is CriterionUnverified rather than a bare claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from .embedding import (EdgeSet, FaceBasis, PlanarEmbedding, is_hamilton_cycle,
                         sym_diff_all, trace_faces)
@@ -91,10 +91,8 @@ def find_Ck(bg: BasisGraph, x: int) -> List[int]:
     """Removable faces on x containing an interior vertex and no weight-1
     edge, in the residual graph."""
     out = []
-    for fid in bg.face_ids:
+    for fid in sorted(bg.faces_on_vertex(x)):
         face = bg.face(fid)
-        if x not in face.vertices:
-            continue
         if not bg.is_removable(fid):
             continue
         if any(bg.weights[eid] == 1 for eid in face.edges):
@@ -106,48 +104,45 @@ def find_Ck(bg: BasisGraph, x: int) -> List[int]:
     return out
 
 
+def _edge_neighbours(bg: BasisGraph, fid: int) -> Set[int]:
+    """Surviving faces other than fid that share an edge with it."""
+    return {other for eid in bg.face(fid).edges
+            for other in bg.faces_on_edge(eid) if other != fid}
+
+
 def faces_sharing_edge(bg: BasisGraph, fid: int) -> List[int]:
-    edges = bg.face(fid).edges
-    return [other for other in bg.face_ids
-            if other != fid and bg.face(other).edges & edges]
+    return sorted(_edge_neighbours(bg, fid))
 
 
 def faces_sharing_only_vertices(bg: BasisGraph, fid: int) -> List[int]:
-    face = bg.face(fid)
-    out = []
-    for other in bg.face_ids:
-        if other == fid:
-            continue
-        o = bg.face(other)
-        if o.edges & face.edges:
-            continue
-        if o.vertices & face.vertices:
-            out.append(other)
-    return out
+    touching = {other for v in bg.face(fid).vertices
+                for other in bg.faces_on_vertex(v)}
+    return sorted(touching - _edge_neighbours(bg, fid) - {fid})
 
 
 def _cxe_for(bg: BasisGraph, x: int, ck: int) -> List[int]:
     """Removable faces meeting Ck exactly at the common vertex x."""
     ck_vertices = bg.face(ck).vertices
-    out = []
-    for fid in bg.face_ids:
-        if fid == ck:
-            continue
-        face = bg.face(fid)
-        if face.vertices & ck_vertices == {x} and bg.is_removable(fid):
-            out.append(fid)
-    return out
+    return [fid for fid in sorted(bg.faces_on_vertex(x))
+            if bg.face(fid).vertices & ck_vertices == {x}
+            and bg.is_removable(fid)]
+
+
+def _first_ck(residual: BasisGraph,
+              x: int) -> Tuple[Optional[int], Tuple[int, ...]]:
+    """The first Ck at x and its Cxe, or (None, ()) when there is no Ck."""
+    ks = find_Ck(residual, x)
+    if not ks:
+        return None, ()
+    return ks[0], tuple(_cxe_for(residual, x, ks[0]))
 
 
 def _context_of(residual: BasisGraph, x: int,
                 cx: Tuple[int, ...]) -> HoleContext:
-    ks = find_Ck(residual, x)
-    ck = ks[0] if ks else None
-    cxe: Tuple[int, ...] = ()
+    ck, cxe = _first_ck(residual, x)
     ce: Tuple[int, ...] = ()
     cv: Tuple[int, ...] = ()
     if ck is not None:
-        cxe = tuple(_cxe_for(residual, x, ck))
         ce = tuple(f for f in faces_sharing_edge(residual, ck)
                    if residual.is_removable(f))
         cv = tuple(faces_sharing_only_vertices(residual, ck))
@@ -171,24 +166,27 @@ def _safe_remove(bg: BasisGraph, fid: int) -> Tuple[BasisGraph, bool]:
     return candidate, True
 
 
-def peel_from(residual: BasisGraph, x: int) -> BasisGraph:
-    """Strip Cxe and then Ck at x until no Ck remains or Ck cannot be
-    removed; removals that would disconnect the residual are skipped."""
-    while True:
-        ks = find_Ck(residual, x)
-        if not ks:
-            return residual
-        ck = ks[0]
-        for fid in _cxe_for(residual, x, ck):
+def peel_from(residual: BasisGraph, ctx: HoleContext) -> BasisGraph:
+    """Strip Cxe and then Ck at ctx.x, starting from the context's pair,
+    until no Ck remains or Ck cannot be removed; removals that would
+    disconnect the residual are skipped.
+
+    ctx must be the context of residual itself.
+    """
+    ck, cxe = ctx.ck, ctx.cxe
+    while ck is not None:
+        for fid in cxe:
             residual, _ = _safe_remove(residual, fid)
         residual, done = _safe_remove(residual, ck)
         if not done:
             return residual
+        ck, cxe = _first_ck(residual, ctx.x)
+    return residual
 
 
-def _peels_to_hole(residual: BasisGraph, x: int) -> bool:
-    """Whether peeling at x drives a feasible C_x residual infeasible."""
-    return not solvable(equation_of_graph(peel_from(residual, x)))
+def _peels_to_hole(residual: BasisGraph, ctx: HoleContext) -> bool:
+    """Whether peeling from ctx drives a feasible C_x residual infeasible."""
+    return not solvable(equation_of_graph(peel_from(residual, ctx)))
 
 
 def is_global_hole(g: PlanarEmbedding, basis: FaceBasis,
@@ -200,7 +198,7 @@ def is_global_hole(g: PlanarEmbedding, basis: FaceBasis,
     residual = BasisGraph(g, basis).remove_faces(ctx.cx)
     if not solvable(equation_of_graph(residual)):
         return False
-    return _peels_to_hole(residual, ctx.x)
+    return _peels_to_hole(residual, _context_of(residual, ctx.x, ctx.cx))
 
 
 def hole_contexts(g: PlanarEmbedding, bg: BasisGraph,
@@ -216,7 +214,8 @@ def hole_contexts(g: PlanarEmbedding, bg: BasisGraph,
         if g.degree(x) < 4:
             continue
         for cx, residual in _cx_walk(bg, x, max_cx):
-            yield _context_of(residual, x, cx), _peels_to_hole(residual, x)
+            ctx = _context_of(residual, x, cx)
+            yield ctx, _peels_to_hole(residual, ctx)
 
 
 # -- the decision ------------------------------------------------------------

@@ -23,7 +23,7 @@ class NonTilingBasisError(ValueError):
 
 
 class NotRemovableError(ValueError):
-    """Strict removal was asked for a cycle whose removal isolates a vertex."""
+    """Removal was asked for a face whose removal isolates a vertex."""
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class BasisGraph:
     """An embedding together with its surviving edges and basis faces.
 
     A graph made by `remove_face` derives its weights from its parent's
-    and, when the removal was not forced, inherits the parent's order.
+    and inherits the parent's order.
     """
 
     def __init__(self, g: PlanarEmbedding, basis: FaceBasis,
@@ -112,6 +112,11 @@ class BasisGraph:
         return frozenset(fid for fid in self.basis.vertex_face_ids.get(v, ())
                          if fid in face_set)
 
+    def faces_on_edge(self, eid: int) -> FrozenSet[int]:
+        face_set = self._face_set
+        return frozenset(fid for fid in self.basis.edge_face_ids[eid]
+                         if fid in face_set)
+
     def incident_edges(self, v: int) -> List[int]:
         edge_ids = self.edge_ids
         return [eid for eid in self.g.incident_edge_ids.get(v, ())
@@ -157,10 +162,10 @@ class BasisGraph:
                 return False
         return True
 
-    def remove_face(self, fid: int, force: bool = False) -> "BasisGraph":
+    def remove_face(self, fid: int) -> "BasisGraph":
         if fid not in self._face_set:
             raise ValueError(f"face {fid} is not in the surviving basis")
-        if not force and not self.is_removable(fid):
+        if not self.is_removable(fid):
             raise NotRemovableError(
                 f"face {fid} is not removable (a vertex would be isolated)")
         doomed = self._doomed(fid)
@@ -175,14 +180,13 @@ class BasisGraph:
             else:
                 weights[eid] -= 1
         child._weights = weights
-        if not force:
-            child._order = self.order
+        child._order = self.order
         return child
 
-    def remove_faces(self, fids: Iterable[int], force: bool = False) -> "BasisGraph":
+    def remove_faces(self, fids: Iterable[int]) -> "BasisGraph":
         bg = self
         for fid in fids:
-            bg = bg.remove_face(fid, force=force)
+            bg = bg.remove_face(fid)
         return bg
 
     def restrict_to_faces(self, fids: Iterable[int]) -> "BasisGraph":
@@ -232,6 +236,5 @@ def is_removable(fid: int, basis: FaceBasis, g: PlanarEmbedding) -> bool:
     return BasisGraph(g, basis).is_removable(fid)
 
 
-def removal(fid: int, basis: FaceBasis, g: PlanarEmbedding,
-            force: bool = False) -> BasisGraph:
-    return BasisGraph(g, basis).remove_face(fid, force=force)
+def removal(fid: int, basis: FaceBasis, g: PlanarEmbedding) -> BasisGraph:
+    return BasisGraph(g, basis).remove_face(fid)

@@ -81,14 +81,13 @@ def _boundary_elements(bg: BasisGraph) -> FrozenSet[int]:
 
 def _face_adjacency(bg: BasisGraph,
                     fids: Sequence[int]) -> Dict[int, Set[int]]:
-    adj: Dict[int, Set[int]] = {fid: set() for fid in fids}
-    fids = list(fids)
-    for i, a in enumerate(fids):
-        for b in fids[i + 1:]:
-            if bg.face(a).edges & bg.face(b).edges:
-                adj[a].add(b)
-                adj[b].add(a)
-    return adj
+    """Edge-sharing neighbours of each given face among the given faces."""
+    members = set(fids)
+    edge_faces = bg.basis.edge_face_ids
+    return {fid: {other for eid in bg.face(fid).edges
+                  for other in edge_faces[eid]
+                  if other != fid and other in members}
+            for fid in fids}
 
 
 def _components(adj: Dict[int, Set[int]]) -> List[Tuple[int, ...]]:
@@ -149,24 +148,16 @@ def decompose(g: PlanarEmbedding,
 
 def _merge_overlapping(
         records: List[SubbasisRecord]) -> List[SubbasisRecord]:
-    merged = list(records)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(merged)):
-            for j in range(i + 1, len(merged)):
-                if set(merged[i].boundary) & set(merged[j].boundary):
-                    a, b = merged[i], merged[j]
-                    combined = SubbasisRecord(
-                        interior=tuple(sorted(set(a.interior + b.interior))),
-                        boundary=tuple(sorted(set(a.boundary + b.boundary))))
-                    merged = ([m for k, m in enumerate(merged)
-                               if k not in (i, j)] + [combined])
-                    changed = True
-                    break
-            if changed:
-                break
-    return merged
+    """One record per component of the "boundaries overlap" relation,
+    carrying the union of its records' interiors and boundaries."""
+    boundaries = [set(r.boundary) for r in records]
+    overlaps = {i: {j for j, other in enumerate(boundaries)
+                    if j != i and mine & other}
+                for i, mine in enumerate(boundaries)}
+    return [SubbasisRecord(
+        interior=tuple(sorted({f for i in comp for f in records[i].interior})),
+        boundary=tuple(sorted({f for i in comp for f in records[i].boundary})))
+        for comp in _components(overlaps)]
 
 
 def _articulation_faces(adj: Dict[int, Set[int]]) -> Set[int]:

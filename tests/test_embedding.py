@@ -3,9 +3,10 @@ import itertools
 import pytest
 
 from polygrid import (PggParseError, classify_edge_set, enclosed_faces,
-                      is_hamilton_cycle, parse_pgg, sym_diff, sym_diff_all,
-                      trace_faces, write_pgg)
-from polygrid.embedding import EmbeddingError
+                      fixtures, is_hamilton_cycle, parse_pgg, sym_diff,
+                      sym_diff_all, trace_faces, write_pgg)
+from polygrid.embedding import EmbeddingError, cycle_vertex_walk
+from polygrid.oracle import enumerate_polyominoes, gen_grid, hamilton_oracle
 
 SQUARE_PGG = """\
 graph square
@@ -240,3 +241,92 @@ def test_span_property_small_fixtures(square, domino, grid3):
                 inside = enclosed_faces(e, basis, g)
                 assert sym_diff_all(
                     basis.faces[i].edges for i in sorted(inside)) == e
+
+
+def _inside_by_ray(point, polygon):
+    """Integer ray-crossing test of a point strictly off the polygon."""
+    px, py = point
+    inside = False
+    for (ax, ay), (bx, by) in zip(polygon, polygon[1:] + polygon[:1]):
+        if (ay > py) != (by > py):
+            # The edge meets the rightward ray iff its crossing lies right
+            # of the point: sign of (x_at - px) times (by - ay).
+            num = (ax - px) * (by - ay) + (py - ay) * (bx - ax)
+            if (num > 0) == (by > ay):
+                inside = not inside
+    return inside
+
+
+def _enclosed_by_geometry(c, basis, g):
+    """Reference: faces whose vertex average lies inside the cycle.
+
+    Every face of the corpus is convex, so its vertex average (the cell
+    centre of a lattice cell) is strictly inside it and off the cycle.
+    Coordinates are scaled by the face's length to keep them integral.
+    """
+    walk = cycle_vertex_walk(c, g)
+    out = set()
+    for fid, face in enumerate(basis.faces):
+        k = face.length
+        point = (sum(g.coords[v][0] for v in face.cycle),
+                 sum(g.coords[v][1] for v in face.cycle))
+        polygon = [(k * g.coords[v][0], k * g.coords[v][1]) for v in walk]
+        if _inside_by_ray(point, polygon):
+            out.add(fid)
+    return frozenset(out)
+
+
+def _parity_corpus():
+    """Every simple cycle of the fixtures, every face boundary, and the
+    oracle's Hamilton cycles of the polyominoes of <= 7 cells and of the
+    m x n grids for 2 <= m, n <= 10."""
+    for make in fixtures.ALL.values():
+        g = make()
+        basis = trace_faces(g)
+        for r in range(1, len(basis.faces) + 1):
+            for sub in itertools.combinations(basis.faces, r):
+                e = sym_diff_all(f.edges for f in sub)
+                if classify_edge_set(e, g).tag == "single-cycle":
+                    yield g, basis, e
+    graphs = list(enumerate_polyominoes(7)) + [
+        gen_grid(m, n) for m in range(2, 11) for n in range(2, 11)]
+    for g in graphs:
+        basis = trace_faces(g)
+        for face in basis.faces:
+            yield g, basis, face.edges
+        # Odd-order grids have no Hamilton cycle; the oracle would only
+        # spend its budget proving it.
+        if g.order % 2 == 0:
+            found = hamilton_oracle(g).found
+            if found is not None:
+                yield g, basis, found
+
+
+def test_enclosed_faces_matches_ray_crossing_reference():
+    checked = 0
+    for g, basis, e in _parity_corpus():
+        inside = enclosed_faces(e, basis, g)
+        assert inside == _enclosed_by_geometry(e, basis, g), (g.name, e)
+        assert sym_diff_all(basis.faces[i].edges for i in inside) == e
+        checked += 1
+    assert checked > 10000
+
+
+def test_enclosed_faces_rejects_non_cycles(domino, fig8):
+    basis = trace_faces(fig8)
+    touching = sym_diff_all(f.edges for f in basis.faces)
+    with pytest.raises(ValueError):
+        enclosed_faces(touching, basis, fig8)
+    with pytest.raises(ValueError):
+        enclosed_faces(frozenset(), trace_faces(domino), domino)
+
+
+def test_edge_face_ids_lists_every_edge(domino, fig8, twin_nonagons):
+    for g in (domino, fig8, twin_nonagons):
+        basis = trace_faces(g)
+        index = basis.edge_face_ids
+        assert sorted(index) == list(range(g.size))
+        for eid, fids in index.items():
+            assert fids == tuple(fid for fid, face in enumerate(basis.faces)
+                                 if eid in face.edges)
+            assert len(fids) == (1 if eid in basis.outer_edges else 2)

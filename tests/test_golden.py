@@ -1,7 +1,11 @@
-"""Pinned verdicts: a speed-up of the criterion must not change any of them.
+"""Pinned outputs: a speed-up or a simplification must not change any of
+them.
 
-The digests are of `report_json` over every polyomino of at most 6 cells,
-recorded before the hole search became incremental.
+The `compare` digests are of `report_json` over every polyomino of at most
+6 cells, recorded before the hole search became incremental.  The
+`decompose` digest is of the records' reprs over the same polyominoes and
+a few holed grids and two-region shapes, recorded before face adjacency
+was read from the face-incidence index.
 """
 
 import hashlib
@@ -10,12 +14,17 @@ import pytest
 
 from polygrid.holes import (GLOBAL_HOLE, HAMILTONIAN, NO_SOLUTION,
                             UNVERIFIED, HoleContext, decide)
-from polygrid.oracle import compare, enumerate_polyominoes, gen_grid, report_json
+from polygrid.oracle import (cells_to_embedding, compare,
+                             enumerate_polyominoes, gen_grid, report_json)
+from polygrid.subbases import decompose
 
 COMPARE_6_SHA256 = {
     "strict": "520bd9cf2259ce1058b62631fdc60a4f2ed7ce4cc08acf66b8707438db3dc9c1",
     "lenient": "3412a2ef1a7ebe89ce5abe8aa8e46c08806b596c3a6df1bb10b9edd64d22f2d7",
 }
+
+DECOMPOSE_SHA256 = (
+    "20aaa8fa31ff1bd7736c69ef9848f1810fb878aca1618cb1fffa54aa1993a1be")
 
 
 @pytest.mark.parametrize("mode", sorted(COMPARE_6_SHA256))
@@ -38,3 +47,20 @@ def test_decide_rectangles_pinned():
     for (m, n), (tag, hole) in expected.items():
         v = decide(gen_grid(m, n))
         assert (v.tag, v.hole) == (tag, hole), (m, n)
+
+
+def test_decompose_digest():
+    block = {(x, y) for x in range(3) for y in range(3)}
+    graphs = list(enumerate_polyominoes(6)) + [
+        gen_grid(6, 7), gen_grid(5, 6, [(1, 1), (2, 1)]),
+        gen_grid(6, 6, [(1, 1), (1, 2)]),
+        gen_grid(7, 6, [(1, 1), (2, 1), (2, 2)]),
+        gen_grid(7, 7, [(1, 1), (2, 1), (3, 3), (3, 4)]),
+        # Two interior regions joined by a strip with a co-set face.
+        cells_to_embedding(block | {(3, 1), (4, 1), (5, 1)}
+                           | {(x + 6, y) for x, y in block}, name="dumbbell"),
+        # Two interior regions whose boundary sets overlap and merge.
+        cells_to_embedding(block | {(x + 2, y + 2) for x, y in block},
+                           name="corner-blocks")]
+    text = "\n".join(repr(decompose(g)) for g in graphs)
+    assert hashlib.sha256(text.encode()).hexdigest() == DECOMPOSE_SHA256

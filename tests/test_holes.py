@@ -1,12 +1,14 @@
 import itertools
+import random
 
 import pytest
 
 from polygrid import trace_faces
 from polygrid.holes import (CLAW, GLOBAL_HOLE, HAMILTONIAN, NO_SOLUTION,
-                            UNVERIFIED, build_context, candidate_Cx, decide,
-                            faces_sharing_edge, faces_sharing_only_vertices,
-                            find_Ck, is_global_hole)
+                            UNVERIFIED, _cxe_for, build_context, candidate_Cx,
+                            decide, faces_sharing_edge,
+                            faces_sharing_only_vertices, find_Ck,
+                            is_global_hole)
 from polygrid.embedding import is_hamilton_cycle
 from polygrid.grinberg import equation_of_graph, solvable
 from polygrid.oracle import gen_grid
@@ -105,6 +107,71 @@ def test_face_neighbour_helpers(grid3):
         assert len(corner_n) == 1
         assert set(edge_n) | set(corner_n) | {fid} == set(bg.face_ids)
         assert fid not in edge_n and fid not in corner_n
+
+
+# Reference scans over every surviving face, which the incidence lookups
+# replace.
+
+def _scan_find_ck(bg, x):
+    out = []
+    for fid in bg.face_ids:
+        face = bg.face(fid)
+        if x not in face.vertices or not bg.is_removable(fid):
+            continue
+        if any(bg.weights[eid] == 1 for eid in face.edges):
+            continue
+        if any(bg.vertex_class(v).tag == "interior" for v in face.vertices):
+            out.append(fid)
+    return out
+
+
+def _scan_cxe(bg, x, ck):
+    ck_vertices = bg.face(ck).vertices
+    return [fid for fid in bg.face_ids
+            if fid != ck and bg.face(fid).vertices & ck_vertices == {x}
+            and bg.is_removable(fid)]
+
+
+def _scan_sharing_edge(bg, fid):
+    edges = bg.face(fid).edges
+    return [other for other in bg.face_ids
+            if other != fid and bg.face(other).edges & edges]
+
+
+def _scan_sharing_only_vertices(bg, fid):
+    face = bg.face(fid)
+    return [other for other in bg.face_ids
+            if other != fid and not bg.face(other).edges & face.edges
+            and bg.face(other).vertices & face.vertices]
+
+
+def test_incidence_lookups_match_face_scans(grid4, fig8, twin_nonagons):
+    rng = random.Random(11)
+    graphs = [grid4, fig8, twin_nonagons, gen_grid(5, 5), gen_grid(6, 5),
+              gen_grid(5, 6, [(1, 1), (2, 1)]),
+              gen_grid(6, 6, [(1, 1), (3, 2)])]
+    found_ck = 0
+    for g in graphs:
+        basis = trace_faces(g)
+        for _ in range(12):
+            bg = BasisGraph(g, basis)
+            for _ in range(rng.randint(0, 4)):
+                removable = [f for f in bg.face_ids if bg.is_removable(f)]
+                if not removable:
+                    break
+                bg = bg.remove_face(rng.choice(removable))
+            for x in sorted(bg.adjacency):
+                ks = find_Ck(bg, x)
+                assert ks == _scan_find_ck(bg, x), (g.name, x)
+                found_ck += len(ks)
+                for ck in bg.faces_on_vertex(x):
+                    assert _cxe_for(bg, x, ck) == _scan_cxe(bg, x, ck)
+            for fid in bg.face_ids:
+                assert faces_sharing_edge(bg, fid) == \
+                    _scan_sharing_edge(bg, fid)
+                assert faces_sharing_only_vertices(bg, fid) == \
+                    _scan_sharing_only_vertices(bg, fid)
+    assert found_ck > 0
 
 
 def test_build_context_grid4(grid4):

@@ -152,13 +152,6 @@ def test_not_removable_square(square):
         removal(0, basis, square)
 
 
-def test_forced_removal_allowed(square):
-    basis = trace_faces(square)
-    after = removal(0, basis, square, force=True)
-    assert after.edge_ids == frozenset()
-    assert after.face_ids == ()
-
-
 def test_removal_recount_equivalence(grid4):
     basis = trace_faces(grid4)
     bg = BasisGraph(grid4, basis)
@@ -198,13 +191,6 @@ def test_removal_chains_match_fresh_graphs(grid4, twin_nonagons):
                 bg = bg.remove_face(rng.choice(removable))
                 _assert_same_structure(bg, BasisGraph(
                     g, basis, edge_ids=bg.edge_ids, face_ids=bg.face_ids))
-            if bg.face_ids:
-                # A forced removal may isolate vertices, so the order is
-                # recounted rather than inherited.
-                forced = bg.remove_face(rng.choice(bg.face_ids), force=True)
-                _assert_same_structure(forced, BasisGraph(
-                    g, basis, edge_ids=forced.edge_ids,
-                    face_ids=forced.face_ids))
 
 
 def test_removal_chain_on_strip():

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from polygrid import trace_faces
 from polygrid.oracle import gen_grid
 from polygrid.structure import BasisGraph
-from polygrid.subbases import (boundary_element_set, check_prop_6_1,
+from polygrid.subbases import (SubbasisRecord, _merge_overlapping,
+                               boundary_element_set, check_prop_6_1,
                                decompose, reduce_to_Gg)
 
 
@@ -124,3 +127,62 @@ def test_prop_6_1_agreement_with_subdivision():
     red = reduce_to_Gg(g)
     record = check_prop_6_1(g, red)
     assert record.agree is True
+
+
+def _restart_merge(records):
+    """Reference: merge any two overlapping records and start over, until
+    no two boundaries overlap."""
+    merged = list(records)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(merged)):
+            for j in range(i + 1, len(merged)):
+                if set(merged[i].boundary) & set(merged[j].boundary):
+                    a, b = merged[i], merged[j]
+                    combined = SubbasisRecord(
+                        interior=tuple(sorted(set(a.interior + b.interior))),
+                        boundary=tuple(sorted(set(a.boundary + b.boundary))))
+                    merged = ([m for k, m in enumerate(merged)
+                               if k not in (i, j)] + [combined])
+                    changed = True
+                    break
+            if changed:
+                break
+    return merged
+
+
+def _key(record):
+    return record.boundary + record.interior
+
+
+def test_merge_overlapping_matches_restart_loop():
+    def rec(interior, boundary):
+        return SubbasisRecord(interior=tuple(interior),
+                              boundary=tuple(boundary))
+
+    cases = [
+        [],
+        [rec([0], [1, 2])],
+        # No overlap: every record stays as it is.
+        [rec([0], [1, 2]), rec([3], [4, 5]), rec([6], [7])],
+        # A chain: the first and last records overlap only through the
+        # middle one.
+        [rec([0], [1, 2]), rec([3], [2, 4]), rec([5], [4, 6])],
+        # The same chain listed out of order, plus a separate pair.
+        [rec([5], [4, 6]), rec([10], [11]), rec([0], [1, 2]),
+         rec([12], [11, 13]), rec([3], [2, 4])],
+    ]
+    rng = random.Random(5)
+    for _ in range(200):
+        cases.append([
+            rec(sorted(rng.sample(range(100, 140), rng.randint(0, 2))),
+                sorted(rng.sample(range(30), rng.randint(1, 3))))
+            for _ in range(rng.randint(0, 7))])
+    merges = 0
+    for records in cases:
+        got = _merge_overlapping(records)
+        want = _restart_merge(records)
+        assert sorted(got, key=_key) == sorted(want, key=_key), records
+        merges += len(records) - len(got)
+    assert merges > 0
