@@ -324,6 +324,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (PggParseError, GridGenError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        # The oracle recurses once per path vertex, so a graph of about
+        # sys.getrecursionlimit() vertices is beyond it.
+        print(f"error: graph too deep for the recursive search (recursion "
+              f"limit {sys.getrecursionlimit()})", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -2,9 +2,21 @@
 
 The Hamilton oracle is an exact backtracking search (forced edges from
 degree-2 vertices, reachability pruning) with a node budget so results are
-reproducible across machines.  Generators build holed grid graphs and all
-fixed polyominoes up to a size; `compare` runs the criterion and the oracle
-side by side and persists any disagreement as a `.pgg` candidate file.
+reproducible across machines.  Its state is Python-int bitsets: bit i is
+the i-th smallest vertex id, adjacency and forced partners are one mask per
+vertex, and the unvisited set is one mask, so a step builds no list or set.
+Each step from p to w is pruned unless every unvisited vertex is reached by
+a frontier flood from w over the unvisited vertices and the start, and
+keeps two usable sides (unvisited neighbours, w or the start).  The side
+check is incremental: the step takes only p out of the usable set, so only
+p's unvisited neighbours are rechecked.  Candidates are tried in ascending
+id order (forced partners first), which fixes the search tree and so
+`nodes_explored`.  The search recurses once per path vertex, so a graph of
+about `sys.getrecursionlimit()` vertices raises `RecursionError`.
+
+Generators build holed grid graphs and all fixed polyominoes up to a size;
+`compare` runs the criterion and the oracle side by side and persists any
+disagreement as a `.pgg` candidate file.
 """
 
 from __future__ import annotations
@@ -89,73 +101,86 @@ def hamilton_oracle(g: PlanarEmbedding, budget: int = 10 ** 6) -> OracleResult:
     vertices = sorted(g.coords)
     if n < 3 or any(g.degree(v) < 2 for v in vertices):
         return OracleResult(None, 0, False)
-    adj = {v: sorted(g.adjacency[v]) for v in vertices}
+    # Bit i of every mask stands for vertices[i], so ascending bits are
+    # ascending vertex ids and vertex 0 is the start.
+    index = {v: i for i, v in enumerate(vertices)}
+    adj = [sum(1 << index[w] for w in g.adjacency[v]) for v in vertices]
     # Degree-2 vertices force both incident edges into any Hamilton cycle.
-    forced: Dict[int, Set[int]] = {v: set() for v in vertices}
+    forced = [0] * n
     for v in vertices:
-        if len(adj[v]) == 2:
-            for w in adj[v]:
-                forced[v].add(w)
-                forced[w].add(v)
-    if any(len(f) > 2 for f in forced.values()):
+        if g.degree(v) == 2:
+            i = index[v]
+            for w in g.adjacency[v]:
+                forced[i] |= 1 << index[w]
+                forced[index[w]] |= 1 << i
+    if any(f.bit_count() > 2 for f in forced):
         return OracleResult(None, 0, False)
-    start = vertices[0]
     nodes = 0
+    path = [0]
 
-    def reachable_ok(current: int, visited: Set[int]) -> bool:
-        # Every unvisited vertex must be reachable from the path head
-        # without re-entering the path, and must keep two usable sides.
-        unvisited = [v for v in vertices if v not in visited]
+    def reachable_ok(p: int, w: int, unvisited: int) -> bool:
+        # After the step p -> w, every unvisited vertex must be reachable
+        # from w without re-entering the path, and must keep two usable
+        # sides: neighbours that are unvisited, w or the start.
         if not unvisited:
             return True
-        allowed = set(unvisited) | {current, start}
-        seen = {current}
-        stack = [current]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w in allowed and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if any(v not in seen for v in unvisited) or start not in seen:
-            return False
-        for v in unvisited:
-            free = sum(1 for w in adj[v]
-                       if w not in visited or w in (current, start))
-            if free < 2:
+        todo = unvisited | 1
+        usable = todo | 1 << w
+        # The step took p out of the usable set unless p is the start
+        # (bit 0), and the parent's unvisited vertices all had two usable
+        # sides, so only p's unvisited neighbours can have dropped below
+        # two.  At the root every vertex has degree >= 2.
+        if p:
+            around = adj[p] & unvisited
+            while around:
+                low = around & -around
+                around ^= low
+                if (adj[low.bit_length() - 1] & usable).bit_count() < 2:
+                    return False
+        # Flood from w over the usable set; it must reach `todo`.
+        frontier = 1 << w
+        while True:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & todo
+            if not frontier:
                 return False
-        return True
+            todo ^= frontier
+            if not todo:
+                return True
 
-    def extend(current: int, visited: Set[int],
-               path: List[int]) -> Optional[List[int]]:
+    def extend(current: int, unvisited: int) -> bool:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise _Budget
-        if len(path) == n:
-            return path if start in adj[current] else None
-        must = sorted(w for w in forced[current] if w not in visited)
-        candidates = must if must else adj[current]
-        for w in candidates:
-            if w in visited:
-                continue
-            visited.add(w)
-            path.append(w)
-            if reachable_ok(w, visited):
-                result = extend(w, visited, path)
-                if result is not None:
-                    return result
-            path.pop()
-            visited.remove(w)
-        return None
+        if not unvisited:
+            return bool(adj[current] & 1)
+        candidates = forced[current] & unvisited or adj[current] & unvisited
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            w = low.bit_length() - 1
+            rest = unvisited ^ low
+            if reachable_ok(current, w, rest):
+                path.append(w)
+                if extend(w, rest):
+                    return True
+                path.pop()
+        return False
 
     try:
-        found = extend(start, {start}, [start])
+        found = extend(0, (1 << n) - 2)
     except _Budget:
         return OracleResult(None, nodes, True)
-    if found is None:
+    if not found:
         return OracleResult(None, nodes, False)
     cycle = frozenset(
-        g.edge_id(found[i], found[(i + 1) % n]) for i in range(n))
+        g.edge_id(vertices[path[i]], vertices[path[(i + 1) % n]])
+        for i in range(n))
     assert is_hamilton_cycle(cycle, g)
     return OracleResult(cycle, nodes, False)
 

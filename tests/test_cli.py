@@ -123,6 +123,20 @@ def test_oracle_json(pgg, capsys):
     assert payload["timedOut"] is False
 
 
+def test_oracle_too_deep_exit_3(tmp_path, capsys):
+    # The oracle recurses once per path vertex; a 1040-vertex strip is
+    # past Python's default recursion limit.
+    code, out, _ = run(capsys, "gen", "grid", "2", "520")
+    assert code == 0
+    path = tmp_path / "strip.pgg"
+    path.write_text(out)
+    code, out, err = run(capsys, "oracle", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
 def test_gen_roundtrips_through_decide(tmp_path, capsys):
     code, out, _ = run(capsys, "gen", "grid", "4", "4")
     assert code == 0

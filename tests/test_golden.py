@@ -5,7 +5,10 @@ The `compare` digests are of `report_json` over every polyomino of at most
 6 cells, recorded before the hole search became incremental.  The
 `decompose` digest is of the records' reprs over the same polyominoes and
 a few holed grids and two-region shapes, recorded before face adjacency
-was read from the face-incidence index.
+was read from the face-incidence index.  The oracle digest is of
+`(name, nodes_explored, timed_out, sorted found edge ids)` over the same
+polyominoes and the odd rectangles 3x5..5x7, recorded before the oracle's
+search state became bitsets.
 """
 
 import hashlib
@@ -15,7 +18,8 @@ import pytest
 from polygrid.holes import (GLOBAL_HOLE, HAMILTONIAN, NO_SOLUTION,
                             UNVERIFIED, HoleContext, decide)
 from polygrid.oracle import (cells_to_embedding, compare,
-                             enumerate_polyominoes, gen_grid, report_json)
+                             enumerate_polyominoes, gen_grid, hamilton_oracle,
+                             report_json)
 from polygrid.subbases import decompose
 
 COMPARE_6_SHA256 = {
@@ -25,6 +29,9 @@ COMPARE_6_SHA256 = {
 
 DECOMPOSE_SHA256 = (
     "20aaa8fa31ff1bd7736c69ef9848f1810fb878aca1618cb1fffa54aa1993a1be")
+
+ORACLE_SHA256 = (
+    "af2b8e13641a40a84f08b973bbc1941f4ac5410643a2dea23f14b83dec31b5c8")
 
 
 @pytest.mark.parametrize("mode", sorted(COMPARE_6_SHA256))
@@ -64,3 +71,15 @@ def test_decompose_digest():
                            name="corner-blocks")]
     text = "\n".join(repr(decompose(g)) for g in graphs)
     assert hashlib.sha256(text.encode()).hexdigest() == DECOMPOSE_SHA256
+
+
+def test_oracle_search_digest():
+    graphs = list(enumerate_polyominoes(6)) + [
+        gen_grid(m, n) for m, n in ((3, 5), (3, 7), (5, 5), (5, 7))]
+    lines = []
+    for g in graphs:
+        r = hamilton_oracle(g)
+        found = None if r.found is None else sorted(r.found)
+        lines.append(repr((g.name, r.nodes_explored, r.timed_out, found)))
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_SHA256

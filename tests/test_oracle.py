@@ -1,12 +1,101 @@
+import itertools
 import json
+from typing import Dict, List, Optional, Set
 
 import pytest
 
 from polygrid import trace_faces
 from polygrid.embedding import PlanarEmbedding, is_hamilton_cycle, parse_pgg
-from polygrid.oracle import (GridGenError, cells_to_embedding, compare,
-                             enumerate_polyominoes, gen_grid, hamilton_oracle,
-                             report_json)
+from polygrid.oracle import (GridGenError, OracleResult, cells_to_embedding,
+                             compare, enumerate_polyominoes, gen_grid,
+                             hamilton_oracle, report_json)
+
+
+class _Budget(Exception):
+    pass
+
+
+def set_reference_oracle(g: PlanarEmbedding,
+                         budget: int = 10 ** 6) -> OracleResult:
+    """The oracle's search on sets and lists, rechecking every unvisited
+    vertex at every node: the reference the bitset search must match node
+    for node."""
+    n = g.order
+    vertices = sorted(g.coords)
+    if n < 3 or any(g.degree(v) < 2 for v in vertices):
+        return OracleResult(None, 0, False)
+    adj = {v: sorted(g.adjacency[v]) for v in vertices}
+    forced: Dict[int, Set[int]] = {v: set() for v in vertices}
+    for v in vertices:
+        if len(adj[v]) == 2:
+            for w in adj[v]:
+                forced[v].add(w)
+                forced[w].add(v)
+    if any(len(f) > 2 for f in forced.values()):
+        return OracleResult(None, 0, False)
+    start = vertices[0]
+    nodes = 0
+
+    def reachable_ok(current: int, visited: Set[int]) -> bool:
+        unvisited = [v for v in vertices if v not in visited]
+        if not unvisited:
+            return True
+        allowed = set(unvisited) | {current, start}
+        seen = {current}
+        stack = [current]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w in allowed and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if any(v not in seen for v in unvisited) or start not in seen:
+            return False
+        for v in unvisited:
+            free = sum(1 for w in adj[v]
+                       if w not in visited or w in (current, start))
+            if free < 2:
+                return False
+        return True
+
+    def extend(current: int, visited: Set[int],
+               path: List[int]) -> Optional[List[int]]:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise _Budget
+        if len(path) == n:
+            return path if start in adj[current] else None
+        must = sorted(w for w in forced[current] if w not in visited)
+        candidates = must if must else adj[current]
+        for w in candidates:
+            if w in visited:
+                continue
+            visited.add(w)
+            path.append(w)
+            if reachable_ok(w, visited):
+                result = extend(w, visited, path)
+                if result is not None:
+                    return result
+            path.pop()
+            visited.remove(w)
+        return None
+
+    try:
+        found = extend(start, {start}, [start])
+    except _Budget:
+        return OracleResult(None, nodes, True)
+    if found is None:
+        return OracleResult(None, nodes, False)
+    return OracleResult(frozenset(
+        g.edge_id(found[i], found[(i + 1) % n]) for i in range(n)),
+        nodes, False)
+
+
+def relabeled(g: PlanarEmbedding, f) -> PlanarEmbedding:
+    """g with vertex v renamed f(v); edges keep their order and ids."""
+    return PlanarEmbedding({f(v): p for v, p in g.coords.items()},
+                           [(f(u), f(v)) for u, v in g.edges],
+                           name=f"{g.name}-relabeled")
 
 
 def test_oracle_square(square):
@@ -43,14 +132,49 @@ def test_oracle_budget_timeout():
 
 def test_oracle_relabeling_invariance(grid4):
     # The answer must not depend on vertex numbering.
-    mapping = {v: 1000 - v for v in grid4.coords}
-    relabeled = PlanarEmbedding(
-        {mapping[v]: p for v, p in grid4.coords.items()},
-        [(mapping[u], mapping[v]) for u, v in grid4.edges],
-        name="relabeled")
     a = hamilton_oracle(grid4)
-    b = hamilton_oracle(relabeled)
+    b = hamilton_oracle(relabeled(grid4, lambda v: 1000 - v))
     assert (a.found is not None) == (b.found is not None)
+
+
+def test_oracle_sparse_ids_follow_sorted_order(grid4):
+    # Bit i of the search state is the i-th smallest vertex id, so an
+    # order-preserving renaming to sparse ids visits the same tree.
+    f = lambda v: 3 * v + 1000
+    for g in (grid4, gen_grid(5, 7, [(1, 1), (2, 1), (1, 2), (2, 2)])):
+        a = hamilton_oracle(g)
+        h = relabeled(g, f)
+        b = hamilton_oracle(h)
+        assert a.found is not None
+        assert (b.nodes_explored, b.timed_out) == \
+            (a.nodes_explored, a.timed_out)
+        assert {frozenset(h.edges[e]) for e in b.found} == \
+            {frozenset(map(f, g.edges[e])) for e in a.found}
+
+
+def test_oracle_matches_set_reference():
+    # The 2-3-cell hole clusters of 5x5: its interior cells form a 2x2
+    # block, in which any three cells are connected and a pair must share
+    # a side.
+    inner = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    clusters = [c for k in (2, 3) for c in itertools.combinations(inner, k)
+                if k == 3 or sum(abs(a - b) for a, b in zip(*c)) == 1]
+    graphs = list(enumerate_polyominoes(7))
+    graphs += [gen_grid(m, n) for m in (3, 5, 7) for n in (3, 5, 7)
+               if m * n <= 35]
+    graphs += [gen_grid(5, 5, c) for c in clusters]
+    graphs += [gen_grid(m, n) for m in range(2, 7) for n in range(2, 7)
+               if m * n % 2 == 0]
+    graphs += [gen_grid(2, n) for n in range(2, 41)]
+    cases = [(g, 10 ** 6) for g in graphs]
+    cases += [(gen_grid(s, s), b) for s in (5, 6) for b in range(1, 61)]
+    assert len(clusters) == 8
+    outcomes = set()
+    for g, budget in cases:
+        expected = set_reference_oracle(g, budget)
+        assert hamilton_oracle(g, budget) == expected, (g.name, budget)
+        outcomes.add((expected.found is not None, expected.timed_out))
+    assert outcomes == {(True, False), (False, False), (False, True)}
 
 
 def test_oracle_too_small():
