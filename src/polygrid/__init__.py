@@ -16,9 +16,7 @@ from .grinberg import (GrinbergEquation, GrinbergPartition, check_prop_3_1,
 from .holes import HoleContext, Verdict, decide, is_global_hole
 from .oracle import (AgreementReport, OracleResult, compare,
                      enumerate_polyominoes, gen_grid, hamilton_oracle)
-from .structure import (BasisGraph, ClawReport, VertexClass, boundary_edges,
-                        claw_d2_scan, classify_vertex, edge_weights,
-                        is_removable, removal)
+from .structure import BasisGraph, ClawReport, VertexClass, claw_d2_scan
 from .subbases import (ReducedGraph, SubbasisDecomposition, boundary_element_set,
                        check_prop_6_1, decompose, reduce_to_Gg)
 

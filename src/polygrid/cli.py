@@ -139,8 +139,7 @@ def cmd_decide(args) -> int:
     verdict = decide(g, limit=args.limit, claw_mode=mode, max_cx=args.max_cx)
     cert = None
     if verdict.certificate is not None:
-        cert = sorted(
-            [min(g.edges[e]), max(g.edges[e])] for e in verdict.certificate)
+        cert = _edge_pairs(g, verdict.certificate)
     if args.json:
         payload = {"graph": g.name, "verdict": verdict.tag,
                    "certificate": cert, "details": verdict.details}
@@ -200,8 +199,7 @@ def cmd_oracle(args) -> int:
     result = hamilton_oracle(g, budget=args.budget)
     cert = None
     if result.found is not None:
-        cert = sorted(
-            [min(g.edges[e]), max(g.edges[e])] for e in result.found)
+        cert = _edge_pairs(g, result.found)
     if args.json:
         payload = {"graph": g.name,
                    "found": result.found is not None,
@@ -224,9 +222,6 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.kind != "grid":
-        print(f"unknown generator {args.kind!r}", file=sys.stderr)
-        return 3
     holes = []
     if args.holes:
         for chunk in args.holes.split(";"):

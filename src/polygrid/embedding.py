@@ -43,11 +43,7 @@ class PlanarEmbedding:
         self.name = name
         self.coords = dict(coords)
         self.edges = tuple((u, v) for u, v in edges)
-        self._validate()
-        self.adjacency: Dict[int, List[int]] = {v: [] for v in self.coords}
-        for u, v in self.edges:
-            self.adjacency[u].append(v)
-            self.adjacency[v].append(u)
+        self.adjacency: Dict[int, List[int]] = self._validate()
         # Rotation: neighbours in counterclockwise angular order.
         self.rotation: Dict[int, List[int]] = {
             v: self._ccw_sort(v, ns) for v, ns in self.adjacency.items()
@@ -59,7 +55,8 @@ class PlanarEmbedding:
 
     # -- construction helpers ------------------------------------------------
 
-    def _validate(self):
+    def _validate(self) -> Dict[int, List[int]]:
+        """Check the drawing and return its vertex adjacency."""
         seen = set()
         for u, v in self.edges:
             if u not in self.coords:
@@ -79,7 +76,15 @@ class PlanarEmbedding:
                     f"vertices {positions[p]} and {vid} share position {p}")
             positions[p] = vid
         self._check_planarity()
-        self._check_connected()
+        if not self.coords:
+            raise PggParseError("empty graph")
+        adj: Dict[int, List[int]] = {v: [] for v in self.coords}
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        if len(reach(adj, next(iter(self.coords)))) != len(self.coords):
+            raise PggParseError("graph is disconnected")
+        return adj
 
     def _check_planarity(self):
         """Reject crossing edges and vertices on foreign edges.
@@ -123,16 +128,6 @@ class PlanarEmbedding:
                 if geometry.on_segment(p, *segs[i]):
                     raise PggParseError(
                         f"vertex {vid} lies on edge {u} {v}")
-
-    def _check_connected(self):
-        if not self.coords:
-            raise PggParseError("empty graph")
-        adj: Dict[int, List[int]] = {v: [] for v in self.coords}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        if len(reach(adj, next(iter(self.coords)))) != len(self.coords):
-            raise PggParseError("graph is disconnected")
 
     def _ccw_sort(self, v: int, neighbours: Iterable[int]) -> List[int]:
         ox, oy = self.coords[v]
@@ -383,6 +378,19 @@ def reach(adj: Mapping[int, Iterable[int]], start: int) -> Set[int]:
     return seen
 
 
+def components(adj: Mapping[int, Iterable[int]]) -> List[Tuple[int, ...]]:
+    """Connected components of adj, each ascending, ordered by their
+    smallest vertex."""
+    seen: Set[int] = set()
+    comps = []
+    for start in sorted(adj):
+        if start not in seen:
+            comp = reach(adj, start)
+            seen |= comp
+            comps.append(tuple(sorted(comp)))
+    return comps
+
+
 # -- cycle classification ----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -406,15 +414,10 @@ def classify_edge_set(e: EdgeSet, g: PlanarEmbedding) -> CycleClass:
         adj.setdefault(v, []).append(u)
     if any(d != 2 for d in deg.values()):
         return CycleClass("other")
-    components = 0
-    seen: Set[int] = set()
-    for start in adj:
-        if start not in seen:
-            components += 1
-            seen |= reach(adj, start)
-    if components == 1:
+    count = len(components(adj))
+    if count == 1:
         return CycleClass("single-cycle", length=len(e))
-    return CycleClass("disjoint-cycles", count=components)
+    return CycleClass("disjoint-cycles", count=count)
 
 
 def is_hamilton_cycle(e: EdgeSet, g: PlanarEmbedding) -> bool:

@@ -1,10 +1,9 @@
 """Edge weights, boundary/interior vertices, claw(d2) scanning and
 removable-cycle bookkeeping.
 
-The `BasisGraph` wrapper bundles an embedding with a surviving subset of
-edges and basis faces, so removals can be chained without mutating anything.
-Removing a face deletes only its weight-1 edges; shared edges survive
-because another face still uses them.
+A `BasisGraph` is the face basis with some faces removed, held as the
+surviving faces and the weight of each surviving edge; removals return a
+new graph, so they can be chained without mutating anything.
 """
 
 from __future__ import annotations
@@ -41,71 +40,49 @@ class ClawReport:
 
 
 class BasisGraph:
-    """An embedding together with its surviving edges and basis faces.
+    """The face basis with some faces removed.
 
-    A graph made by `remove_face` derives its weights from its parent's
-    and inherits the parent's order.
+    Its state is the surviving faces, `weights` and `order`.  `weights`
+    maps each surviving edge to w(e), the number of surviving faces on it,
+    so its keys are the surviving edges.  Built with no face set, every
+    face and every edge survives, bridges at weight 0; built with a face
+    set, only those faces and their edges survive.  Removing a face deletes
+    only its weight-1 edges, because another face still uses the others.
+    A graph made by `remove_face` keeps its parent's order, since a
+    removal isolates no vertex.
     """
 
     def __init__(self, g: PlanarEmbedding, basis: FaceBasis,
-                 edge_ids: Optional[FrozenSet[int]] = None,
-                 face_ids: Optional[Tuple[int, ...]] = None):
+                 face_ids: Optional[Iterable[int]] = None):
         self.g = g
         self.basis = basis
-        self.edge_ids = (frozenset(range(g.size))
-                         if edge_ids is None else frozenset(edge_ids))
         self.face_ids = (basis.face_ids() if face_ids is None
-                         else tuple(sorted(face_ids)))
+                         else tuple(sorted(set(face_ids))))
         self._face_set = frozenset(self.face_ids)
-        self._adjacency: Optional[Dict[int, List[int]]] = None
-        self._weights: Optional[Dict[int, int]] = None
-        self._order: Optional[int] = None
+        w = dict.fromkeys(range(g.size), 0) if face_ids is None else {}
+        for fid in self.face_ids:
+            for eid in self.face(fid).edges:
+                w[eid] = w.get(eid, 0) + 1
+        for eid, count in w.items():
+            if count > 2:
+                u, v = g.edges[eid]
+                raise NonTilingBasisError(
+                    f"edge {u} {v} lies on {count} basis faces")
+        self.weights: Dict[int, int] = w
+        self.order = len(self.vertices())
 
     # -- derived structure ---------------------------------------------------
 
     def face(self, fid: int) -> Face:
         return self.basis.faces[fid]
 
-    @property
-    def adjacency(self) -> Dict[int, List[int]]:
-        if self._adjacency is None:
-            adj: Dict[int, List[int]] = {}
-            for eid in self.edge_ids:
-                u, v = self.g.edges[eid]
-                adj.setdefault(u, []).append(v)
-                adj.setdefault(v, []).append(u)
-            self._adjacency = adj
-        return self._adjacency
-
-    @property
-    def order(self) -> int:
-        """Number of non-isolated vertices."""
-        if self._order is None:
-            self._order = len(self.adjacency)
-        return self._order
+    def vertices(self) -> List[int]:
+        """The non-isolated vertices, ascending."""
+        edges = self.g.edges
+        return sorted({v for eid in self.weights for v in edges[eid]})
 
     def degree(self, v: int) -> int:
-        edge_ids = self.edge_ids
-        return sum(1 for eid in self.g.incident_edge_ids.get(v, ())
-                   if eid in edge_ids)
-
-    @property
-    def weights(self) -> Dict[int, int]:
-        """w(e): number of surviving basis faces containing each surviving
-        edge."""
-        if self._weights is None:
-            w = {eid: 0 for eid in self.edge_ids}
-            for fid in self.face_ids:
-                for eid in self.face(fid).edges:
-                    if eid in w:
-                        w[eid] += 1
-            for eid, count in w.items():
-                if count > 2:
-                    u, v = self.g.edges[eid]
-                    raise NonTilingBasisError(
-                        f"edge {u} {v} lies on {count} basis faces")
-            self._weights = w
-        return self._weights
+        return len(self.incident_edges(v))
 
     def faces_on_vertex(self, v: int) -> FrozenSet[int]:
         face_set = self._face_set
@@ -118,18 +95,18 @@ class BasisGraph:
                          if fid in face_set)
 
     def incident_edges(self, v: int) -> List[int]:
-        edge_ids = self.edge_ids
+        w = self.weights
         return [eid for eid in self.g.incident_edge_ids.get(v, ())
-                if eid in edge_ids]
+                if eid in w]
 
     def vertex_class(self, v: int) -> VertexClass:
         cycles_on = self.faces_on_vertex(v)
-        incident = self.incident_edges(v)
         w = self.weights
-        w2 = sum(1 for eid in incident if w[eid] == 2)
-        if incident and all(w[eid] == 2 for eid in incident):
+        incident = [w[eid] for eid in self.incident_edges(v)]
+        w2 = incident.count(2)
+        if incident and w2 == len(incident):
             return VertexClass("interior", cycles_on)
-        if all(w[eid] <= 2 for eid in incident) and w2 == len(cycles_on) - 1:
+        if w2 == len(cycles_on) - 1:
             return VertexClass("boundary", cycles_on)
         return VertexClass("other", cycles_on)
 
@@ -141,46 +118,46 @@ class BasisGraph:
         return tuple(self.face(fid).length for fid in self.face_ids)
 
     def connected(self) -> bool:
-        adj = self.adjacency
+        adj: Dict[int, List[int]] = {}
+        for eid in self.weights:
+            u, v = self.g.edges[eid]
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
         return not adj or len(reach(adj, next(iter(adj)))) == len(adj)
 
     # -- removal -------------------------------------------------------------
 
-    def _doomed(self, fid: int) -> FrozenSet[int]:
-        """The face's weight-1 edges, which its removal deletes."""
+    def _isolates(self, fid: int) -> bool:
+        """Whether deleting the face's weight-1 edges isolates a vertex."""
+        face = self.face(fid)
         w = self.weights
-        return frozenset(eid for eid in self.face(fid).edges if w[eid] == 1)
+        doomed = {eid for eid in face.edges if w[eid] == 1}
+        incident = self.g.incident_edge_ids
+        return any(all(eid in doomed or eid not in w for eid in incident[v])
+                   for v in face.vertices)
 
     def is_removable(self, fid: int) -> bool:
-        """A face is removable when deleting its weight-1 edges isolates no
-        vertex (graph order unchanged)."""
-        if fid not in self._face_set:
-            return False
-        doomed = self._doomed(fid)
-        for v in self.face(fid).vertices:
-            if all(eid in doomed for eid in self.incident_edges(v)):
-                return False
-        return True
+        """A surviving face is removable when deleting its weight-1 edges
+        isolates no vertex (graph order unchanged)."""
+        return fid in self._face_set and not self._isolates(fid)
 
     def remove_face(self, fid: int) -> "BasisGraph":
         if fid not in self._face_set:
             raise ValueError(f"face {fid} is not in the surviving basis")
-        if not self.is_removable(fid):
+        if self._isolates(fid):
             raise NotRemovableError(
                 f"face {fid} is not removable (a vertex would be isolated)")
-        doomed = self._doomed(fid)
-        child = BasisGraph(
-            self.g, self.basis,
-            edge_ids=self.edge_ids - doomed,
-            face_ids=tuple(f for f in self.face_ids if f != fid))
         weights = dict(self.weights)
         for eid in self.face(fid).edges:
-            if eid in doomed:
+            if weights[eid] == 1:
                 del weights[eid]
             else:
                 weights[eid] -= 1
-        child._weights = weights
-        child._order = self.order
+        child = object.__new__(BasisGraph)
+        child.g, child.basis, child.order = self.g, self.basis, self.order
+        child.face_ids = tuple(f for f in self.face_ids if f != fid)
+        child._face_set = self._face_set - {fid}
+        child.weights = weights
         return child
 
     def remove_faces(self, fids: Iterable[int]) -> "BasisGraph":
@@ -189,32 +166,9 @@ class BasisGraph:
             bg = bg.remove_face(fid)
         return bg
 
-    def restrict_to_faces(self, fids: Iterable[int]) -> "BasisGraph":
-        """Subgraph carried by the given faces only."""
-        fids = tuple(sorted(set(fids)))
-        edge_ids = frozenset().union(
-            *(self.face(fid).edges for fid in fids)) if fids else frozenset()
-        return BasisGraph(self.g, self.basis,
-                          edge_ids=frozenset(edge_ids), face_ids=fids)
-
     def __repr__(self):
-        return (f"BasisGraph({self.g.name!r}, edges={len(self.edge_ids)}, "
+        return (f"BasisGraph({self.g.name!r}, edges={len(self.weights)}, "
                 f"faces={len(self.face_ids)})")
-
-
-# -- spec-level operations ---------------------------------------------------
-
-def edge_weights(basis: FaceBasis, g: PlanarEmbedding) -> Dict[int, int]:
-    return BasisGraph(g, basis).weights
-
-
-def classify_vertex(v: int, basis: FaceBasis,
-                    g: PlanarEmbedding) -> VertexClass:
-    return BasisGraph(g, basis).vertex_class(v)
-
-
-def boundary_edges(basis: FaceBasis, g: PlanarEmbedding) -> FrozenSet[int]:
-    return BasisGraph(g, basis).boundary_edge_ids()
 
 
 def claw_d2_scan(g: PlanarEmbedding) -> List[ClawReport]:
@@ -231,10 +185,3 @@ def claw_d2_scan(g: PlanarEmbedding) -> List[ClawReport]:
             reports.append(ClawReport(v, len(neighbours), d2, severity))
     return reports
 
-
-def is_removable(fid: int, basis: FaceBasis, g: PlanarEmbedding) -> bool:
-    return BasisGraph(g, basis).is_removable(fid)
-
-
-def removal(fid: int, basis: FaceBasis, g: PlanarEmbedding) -> BasisGraph:
-    return BasisGraph(g, basis).remove_face(fid)

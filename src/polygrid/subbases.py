@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .embedding import (FaceBasis, PlanarEmbedding, classify_edge_set,
-                        cycle_vertex_walk, reach, trace_faces)
+                        components, cycle_vertex_walk, trace_faces)
 from .holes import HAMILTONIAN, decide
 from .structure import BasisGraph
 
@@ -62,13 +62,12 @@ class AgreementRecord:
 def boundary_element_set(basis: FaceBasis,
                          g: PlanarEmbedding) -> FrozenSet[int]:
     """Faces touching any boundary vertex or any weight-1 edge."""
-    bg = BasisGraph(g, basis)
-    return _boundary_elements(bg)
+    return _boundary_elements(BasisGraph(g, basis))
 
 
 def _boundary_elements(bg: BasisGraph) -> FrozenSet[int]:
     w1 = bg.boundary_edge_ids()
-    classes = {v: bg.vertex_class(v).tag for v in bg.adjacency}
+    classes = {v: bg.vertex_class(v).tag for v in bg.vertices()}
     out = set()
     for fid in bg.face_ids:
         face = bg.face(fid)
@@ -90,24 +89,13 @@ def _face_adjacency(bg: BasisGraph,
             for fid in fids}
 
 
-def _components(adj: Dict[int, Set[int]]) -> List[Tuple[int, ...]]:
-    seen: Set[int] = set()
-    comps = []
-    for start in sorted(adj):
-        if start not in seen:
-            comp = reach(adj, start)
-            seen |= comp
-            comps.append(tuple(sorted(comp)))
-    return comps
-
-
 def _bounds(bg: BasisGraph, boundary: Sequence[int],
             interior: Sequence[int]) -> bool:
     """True when, within the sub-basis boundary + interior, every interior
     face still touches no weight-1 edge and no boundary vertex."""
     if not interior:
         return False
-    local = bg.restrict_to_faces(tuple(boundary) + tuple(interior))
+    local = BasisGraph(bg.g, bg.basis, tuple(boundary) + tuple(interior))
     return not (set(interior) & _boundary_elements(local))
 
 
@@ -120,7 +108,7 @@ def decompose(g: PlanarEmbedding,
     interior_all = [fid for fid in bg.face_ids if fid not in belems]
     records: List[SubbasisRecord] = []
     used_boundary: Set[int] = set()
-    for comp in _components(_face_adjacency(bg, interior_all)):
+    for comp in components(_face_adjacency(bg, interior_all)):
         # Greedy shrinking: drop boundary faces in descending index while
         # the remainder still bounds the component.
         minimal = sorted(belems)
@@ -138,7 +126,7 @@ def decompose(g: PlanarEmbedding,
     coset = sorted(_articulation_faces(adj))
     free = {fid: ns - set(coset) for fid, ns in adj.items()
             if fid not in coset}
-    for comp in _components(free):
+    for comp in components(free):
         records.append(SubbasisRecord(interior=(), boundary=comp))
     records.sort(key=lambda r: (r.boundary + r.interior))
     return SubbasisDecomposition(
@@ -157,13 +145,13 @@ def _merge_overlapping(
     return [SubbasisRecord(
         interior=tuple(sorted({f for i in comp for f in records[i].interior})),
         boundary=tuple(sorted({f for i in comp for f in records[i].boundary})))
-        for comp in _components(overlaps)]
+        for comp in components(overlaps)]
 
 
 def _articulation_faces(adj: Dict[int, Set[int]]) -> Set[int]:
     """Faces whose removal disconnects their adjacency component."""
     out = set()
-    comps_before = _components(adj)
+    comps_before = components(adj)
     comp_of = {}
     for comp in comps_before:
         for fid in comp:
@@ -173,25 +161,23 @@ def _articulation_faces(adj: Dict[int, Set[int]]) -> Set[int]:
         if len(comp) <= 2:
             continue
         rest = {f: adj[f] - {fid} for f in comp if f != fid}
-        if len(_components(rest)) > 1:
+        if len(components(rest)) > 1:
             out.add(fid)
     return out
 
 
 # -- reduction ---------------------------------------------------------------
 
-def _region_perimeter(bg: BasisGraph,
-                      interior: Sequence[int]) -> Tuple[List[int], Set[int]]:
-    """Vertex walk of the region boundary and the region's internal edges."""
-    local = bg.restrict_to_faces(interior)
-    w = local.weights
-    perimeter_edges = frozenset(e for e, c in w.items() if c == 1)
-    internal_edges = {e for e, c in w.items() if c == 2}
-    cls = classify_edge_set(perimeter_edges, bg.g)
+def _region_perimeter(local: BasisGraph) -> Tuple[List[int], Set[int]]:
+    """Vertex walk of the region boundary and the region's internal edges,
+    for the graph carried by the region's faces."""
+    perimeter_edges = local.boundary_edge_ids()
+    internal_edges = {e for e, c in local.weights.items() if c == 2}
+    cls = classify_edge_set(perimeter_edges, local.g)
     if cls.tag != "single-cycle":
         raise ValueError(
-            f"interior region {tuple(interior)} has a non-cycle perimeter")
-    walk = cycle_vertex_walk(perimeter_edges, bg.g)
+            f"interior region {local.face_ids} has a non-cycle perimeter")
+    walk = cycle_vertex_walk(perimeter_edges, local.g)
     return walk, internal_edges
 
 
@@ -209,22 +195,21 @@ def reduce_to_Gg(g: PlanarEmbedding,
         basis = trace_faces(g)
     if decomposition is None:
         decomposition = decompose(g, basis)
-    bg = BasisGraph(g, basis)
     failed: List[int] = []
     regions = []       # (record idx, perimeter walk, internal edges, order)
     for idx, rec in enumerate(decomposition.records):
         if not rec.interior:
             continue
-        local = bg.restrict_to_faces(rec.interior)
+        local = BasisGraph(g, basis, rec.interior)
         sub = PlanarEmbedding(
-            {v: g.coords[v] for v in local.adjacency},
-            [g.edges[e] for e in sorted(local.edge_ids)],
+            {v: g.coords[v] for v in local.vertices()},
+            [g.edges[e] for e in sorted(local.weights)],
             name=f"{g.name}-g{idx}")
         verdict = decide(sub, claw_mode=claw_mode)
         if verdict.tag != HAMILTONIAN:
             failed.append(idx)
             continue
-        walk, internal = _region_perimeter(bg, rec.interior)
+        walk, internal = _region_perimeter(local)
         regions.append((idx, walk, internal, local.order))
     reduced = _substitute_regions(g, regions)
     return ReducedGraph(

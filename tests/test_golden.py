@@ -8,13 +8,19 @@ a few holed grids and two-region shapes, recorded before face adjacency
 was read from the face-incidence index.  The oracle digest is of
 `(name, nodes_explored, timed_out, sorted found edge ids)` over the same
 polyominoes and the odd rectangles 3x5..5x7, recorded before the oracle's
-search state became bitsets.
+search state became bitsets.  The CLI digest is of the exit code and
+`--json` output of `classify`, `subbases --reduce`, `holes` and `decide`
+over the same polyominoes, the named fixtures, three holed grids, the
+dumbbell and two blocks joined by a bridge, recorded before `BasisGraph`
+kept its weight map as its only edge state.
 """
 
 import hashlib
 
 import pytest
 
+from polygrid import fixtures, write_pgg
+from polygrid.cli import main
 from polygrid.holes import (GLOBAL_HOLE, HAMILTONIAN, NO_SOLUTION,
                             UNVERIFIED, HoleContext, decide)
 from polygrid.oracle import (cells_to_embedding, compare,
@@ -29,6 +35,9 @@ COMPARE_6_SHA256 = {
 
 DECOMPOSE_SHA256 = (
     "20aaa8fa31ff1bd7736c69ef9848f1810fb878aca1618cb1fffa54aa1993a1be")
+
+CLI_JSON_SHA256 = (
+    "0cad56ea83b572f617f93813a89a408fb5359e412cf6c07c027d418e9c72557f")
 
 ORACLE_SHA256 = (
     "af2b8e13641a40a84f08b973bbc1941f4ac5410643a2dea23f14b83dec31b5c8")
@@ -56,6 +65,14 @@ def test_decide_rectangles_pinned():
         assert (v.tag, v.hole) == (tag, hole), (m, n)
 
 
+def _dumbbell():
+    """Two 3x3 blocks joined by a one-cell-wide strip."""
+    block = {(x, y) for x in range(3) for y in range(3)}
+    return cells_to_embedding(block | {(3, 1), (4, 1), (5, 1)}
+                              | {(x + 6, y) for x, y in block},
+                              name="dumbbell")
+
+
 def test_decompose_digest():
     block = {(x, y) for x in range(3) for y in range(3)}
     graphs = list(enumerate_polyominoes(6)) + [
@@ -64,8 +81,7 @@ def test_decompose_digest():
         gen_grid(7, 6, [(1, 1), (2, 1), (2, 2)]),
         gen_grid(7, 7, [(1, 1), (2, 1), (3, 3), (3, 4)]),
         # Two interior regions joined by a strip with a co-set face.
-        cells_to_embedding(block | {(3, 1), (4, 1), (5, 1)}
-                           | {(x + 6, y) for x, y in block}, name="dumbbell"),
+        _dumbbell(),
         # Two interior regions whose boundary sets overlap and merge.
         cells_to_embedding(block | {(x + 2, y + 2) for x, y in block},
                            name="corner-blocks")]
@@ -83,3 +99,22 @@ def test_oracle_search_digest():
         lines.append(repr((g.name, r.nodes_explored, r.timed_out, found)))
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_SHA256
+
+
+def test_cli_json_digest(bridged_blocks, tmp_path, capsys):
+    graphs = (list(enumerate_polyominoes(6))
+              + [make() for make in fixtures.ALL.values()]
+              + [gen_grid(5, 5, [(1, 1), (2, 1)]),
+                 gen_grid(5, 6, [(1, 1), (2, 1)]),
+                 gen_grid(6, 5, [(1, 1), (2, 1), (2, 2)]),
+                 _dumbbell(), bridged_blocks])
+    commands = (["classify"], ["subbases", "--reduce"], ["holes"], ["decide"])
+    path = tmp_path / "g.pgg"
+    digest = hashlib.sha256()
+    for g in graphs:
+        path.write_text(write_pgg(g))
+        for command in commands:
+            code = main(command + [str(path), "--json"])
+            digest.update(f"{g.name} {command} {code}\n".encode())
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == CLI_JSON_SHA256

@@ -160,7 +160,7 @@ def test_incidence_lookups_match_face_scans(grid4, fig8, twin_nonagons):
                 if not removable:
                     break
                 bg = bg.remove_face(rng.choice(removable))
-            for x in sorted(bg.adjacency):
+            for x in bg.vertices():
                 ks = find_Ck(bg, x)
                 assert ks == _scan_find_ck(bg, x), (g.name, x)
                 found_ck += len(ks)

@@ -1,6 +1,7 @@
 """Every module of the package uses every name it imports."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import polygrid
@@ -42,3 +43,19 @@ def test_no_unused_imports():
             if (path.stem, name) not in ALLOWED:
                 found.append(f"{path.name}: {name}")
     assert found == []
+
+
+def test_tracer_targets_exist():
+    """Every attribute the benchmark tracer wraps still exists, so a rename
+    fails here and not only in the traced benchmark."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [(target, attr) for targets, attr, _, _ in tracing._SPANS
+               for target in targets]
+    targets += [(target, attr) for target, attr, _ in tracing._COUNTERS]
+    missing = [f"{getattr(t, '__name__', t)}.{attr}" for t, attr in targets
+               if not callable(getattr(t, attr, None))]
+    assert len(targets) > 20
+    assert missing == []

@@ -3,15 +3,19 @@ import random
 import pytest
 
 from polygrid import trace_faces
+from polygrid.embedding import FaceBasis
 from polygrid.oracle import gen_grid
-from polygrid.structure import (CASE_I, CASE_II, BasisGraph, NotRemovableError,
-                                boundary_edges, claw_d2_scan,
-                                classify_vertex, edge_weights, is_removable,
-                                removal)
+from polygrid.structure import (CASE_I, CASE_II, BasisGraph,
+                                NonTilingBasisError, NotRemovableError,
+                                claw_d2_scan)
 
 
 def vertex_at(g, xy):
     return next(v for v, p in g.coords.items() if p == xy)
+
+
+def root(g):
+    return BasisGraph(g, trace_faces(g))
 
 
 def face_containing(bg, vertex_xys):
@@ -21,48 +25,52 @@ def face_containing(bg, vertex_xys):
 
 
 def test_weights_square(square):
-    w = edge_weights(trace_faces(square), square)
+    w = root(square).weights
     assert sorted(w.values()) == [1, 1, 1, 1]
 
 
 def test_weights_domino(domino):
-    w = edge_weights(trace_faces(domino), domino)
+    w = root(domino).weights
     assert sorted(w.values()) == [1, 1, 1, 1, 1, 1, 2]
 
 
 def test_weights_grid3(grid3):
-    w = edge_weights(trace_faces(grid3), grid3)
+    w = root(grid3).weights
     centre = vertex_at(grid3, (1, 1))
     for eid, count in w.items():
         expect = 2 if centre in grid3.edges[eid] else 1
         assert count == expect
 
 
+def test_edge_on_three_faces_rejected(square):
+    basis = trace_faces(square)
+    tripled = FaceBasis(faces=basis.faces * 3, outer_edges=basis.outer_edges,
+                        outer_walk=basis.outer_walk)
+    with pytest.raises(NonTilingBasisError, match="lies on 3 basis faces"):
+        BasisGraph(square, tripled)
+
+
 def test_weight_sum_equals_length_sum(square, domino, grid3, grid4, fig8,
                                       twin_nonagons):
     for g in (square, domino, grid3, grid4, fig8, twin_nonagons):
         basis = trace_faces(g)
-        w = edge_weights(basis, g)
+        w = BasisGraph(g, basis).weights
         assert sum(w.values()) == sum(f.length for f in basis.faces)
 
 
 def test_classify_grid3_centre_interior(grid3):
-    basis = trace_faces(grid3)
-    assert classify_vertex(vertex_at(grid3, (1, 1)), basis, grid3).tag == \
+    assert root(grid3).vertex_class(vertex_at(grid3, (1, 1))).tag == \
         "interior"
 
 
 def test_classify_domino_corner_boundary(domino):
-    basis = trace_faces(domino)
-    cls = classify_vertex(vertex_at(domino, (0, 0)), basis, domino)
+    cls = root(domino).vertex_class(vertex_at(domino, (0, 0)))
     assert cls.tag == "boundary"
     assert len(cls.cycles_on) == 1
 
 
 def test_classify_fig8_shared_other(fig8):
-    basis = trace_faces(fig8)
-    shared = vertex_at(fig8, (1, 1))
-    cls = classify_vertex(shared, basis, fig8)
+    cls = root(fig8).vertex_class(vertex_at(fig8, (1, 1)))
     assert cls.tag == "other"
     assert len(cls.cycles_on) == 2
 
@@ -82,12 +90,12 @@ def test_classification_is_total_and_exclusive(grid4, fig8):
 
 
 def test_boundary_edges(square, domino):
-    assert len(boundary_edges(trace_faces(square), square)) == 4
-    assert len(boundary_edges(trace_faces(domino), domino)) == 6
+    assert len(root(square).boundary_edge_ids()) == 4
+    assert len(root(domino).boundary_edge_ids()) == 6
 
 
 def test_boundary_edges_grid4(grid4):
-    be = boundary_edges(trace_faces(grid4), grid4)
+    be = root(grid4).boundary_edge_ids()
     assert len(be) == 12
     for eid in be:
         u, v = grid4.edges[eid]
@@ -135,7 +143,7 @@ def test_removable_grid4_centre(grid4):
     centre = face_containing(bg, [(1, 1), (2, 1), (2, 2), (1, 2)])
     assert bg.is_removable(centre)
     after = bg.remove_face(centre)
-    assert after.edge_ids == bg.edge_ids          # all its edges had w = 2
+    assert after.weights.keys() == bg.weights.keys()  # all its edges had w = 2
 
 
 def test_not_removable_grid3_corner(grid3):
@@ -146,10 +154,10 @@ def test_not_removable_grid3_corner(grid3):
 
 
 def test_not_removable_square(square):
-    basis = trace_faces(square)
-    assert not is_removable(0, basis, square)
+    bg = root(square)
+    assert not bg.is_removable(0)
     with pytest.raises(NotRemovableError):
-        removal(0, basis, square)
+        bg.remove_face(0)
 
 
 def test_removal_recount_equivalence(grid4):
@@ -161,8 +169,7 @@ def test_removal_recount_equivalence(grid4):
         after = bg.remove_face(fid)
         assert after.order == bg.order
         assert len(after.face_ids) == len(bg.face_ids) - 1
-        fresh = BasisGraph(grid4, basis, edge_ids=after.edge_ids,
-                           face_ids=after.face_ids)
+        fresh = BasisGraph(grid4, basis, after.face_ids)
         assert after.weights == fresh.weights
 
 
@@ -189,8 +196,7 @@ def test_removal_chains_match_fresh_graphs(grid4, twin_nonagons):
                 if not removable:
                     break
                 bg = bg.remove_face(rng.choice(removable))
-                _assert_same_structure(bg, BasisGraph(
-                    g, basis, edge_ids=bg.edge_ids, face_ids=bg.face_ids))
+                _assert_same_structure(bg, BasisGraph(g, basis, bg.face_ids))
 
 
 def test_removal_chain_on_strip():
@@ -204,4 +210,30 @@ def test_removal_chain_on_strip():
     assert removables == [1, 2]
     after = bg.remove_face(1)
     assert after.order == bg.order
-    assert len(after.edge_ids) == len(bg.edge_ids) - 2
+    assert len(after.weights) == len(bg.weights) - 2
+
+
+def test_removed_face_is_gone(grid4):
+    bg = root(grid4)
+    centre = face_containing(bg, [(1, 1), (2, 1), (2, 2), (1, 2)])
+    after = bg.remove_face(centre)
+    assert not after.is_removable(centre)
+    with pytest.raises(ValueError, match="not in the surviving basis"):
+        after.remove_face(centre)
+
+
+def test_bridge_kept_by_root_dropped_by_face_set(bridged_blocks):
+    g = bridged_blocks
+    basis = trace_faces(g)
+    bridge = next(eid for eid in range(g.size)
+                  if not basis.edge_face_ids[eid])
+    bg = BasisGraph(g, basis)
+    assert bg.weights[bridge] == 0
+    assert len(bg.weights) == g.size
+    assert bg.order == g.order
+    assert bg.connected()
+    faces_only = BasisGraph(g, basis, bg.face_ids)
+    assert bridge not in faces_only.weights
+    assert len(faces_only.weights) == g.size - 1
+    assert faces_only.order == g.order
+    assert not faces_only.connected()
