@@ -17,8 +17,6 @@ from . import geometry
 
 EdgeSet = FrozenSet[int]
 
-EMPTY_EDGESET: EdgeSet = frozenset()
-
 
 class PggParseError(ValueError):
     """Parse or validation failure for a `.pgg` input, with a line number."""
@@ -273,9 +271,6 @@ class FaceBasis:
     faces: Tuple[Face, ...]
     outer_edges: EdgeSet
     outer_walk: Tuple[int, ...]
-
-    def __len__(self):
-        return len(self.faces)
 
     def face_ids(self) -> Tuple[int, ...]:
         return tuple(range(len(self.faces)))

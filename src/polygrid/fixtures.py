@@ -5,10 +5,10 @@ Built on demand so parse/trace validation runs on every construction.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .embedding import PlanarEmbedding
-from .oracle import cells_to_embedding
+from .oracle import _polygons_to_embedding, cells_to_embedding
 
 
 def _lattice_cells(m: int, n: int) -> List[Tuple[int, int]]:
@@ -50,15 +50,7 @@ def twin_nonagons() -> PlanarEmbedding:
     right = [(1, 0), (1, 1), (2, 2), (3, 2), (4, 2), (5, 1), (5, 0),
              (4, -1), (2, -1)]
     centre = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    points = sorted(set(left + right + centre))
-    ids: Dict[Tuple[int, int], int] = {p: i for i, p in enumerate(points)}
-    sides = set()
-    for ring in (left, right, centre):
-        for i in range(len(ring)):
-            a, b = ids[ring[i]], ids[ring[(i + 1) % len(ring)]]
-            sides.add((min(a, b), max(a, b)))
-    coords = {i: p for p, i in ids.items()}
-    return PlanarEmbedding(coords, sorted(sides), name="twin-nonagons")
+    return _polygons_to_embedding([left, right, centre], name="twin-nonagons")
 
 
 ALL = {

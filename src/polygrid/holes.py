@@ -11,7 +11,7 @@ certifies, the verdict is CriterionUnverified rather than a bare claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .embedding import (EdgeSet, FaceBasis, PlanarEmbedding, is_hamilton_cycle,
                         sym_diff_all, trace_faces)
@@ -87,71 +87,46 @@ def candidate_Cx(bg: BasisGraph, x: int,
     return [cx for cx, _ in _cx_walk(bg, x, max_size)]
 
 
-def find_Ck(bg: BasisGraph, x: int) -> List[int]:
-    """Removable faces on x containing an interior vertex and no weight-1
-    edge, in the residual graph."""
-    out = []
-    for fid in sorted(bg.faces_on_vertex(x)):
-        face = bg.face(fid)
-        if not bg.is_removable(fid):
-            continue
-        if any(bg.weights[eid] == 1 for eid in face.edges):
-            continue
-        if not any(bg.vertex_class(v).tag == "interior"
-                   for v in face.vertices):
-            continue
-        out.append(fid)
-    return out
+def find_Ck(residual: BasisGraph,
+            x: int) -> Tuple[Optional[int], Tuple[int, ...]]:
+    """The first C_k at x and its C_xe, or (None, ()) when there is none.
+
+    C_k is a face on x that holds an interior vertex and no weight-1 edge
+    of the residual, so its removal deletes no edge and it is removable;
+    C_xe are the removable faces that meet C_k exactly at x.
+    """
+    w = residual.weights
+    on_x = sorted(residual.faces_on_vertex(x))
+    for ck in on_x:
+        face = residual.face(ck)
+        if (all(w[eid] != 1 for eid in face.edges)
+                and any(residual.vertex_class(v).tag == "interior"
+                        for v in face.vertices)):
+            return ck, tuple(
+                fid for fid in on_x
+                if residual.face(fid).vertices & face.vertices == {x}
+                and residual.is_removable(fid))
+    return None, ()
 
 
-def _edge_neighbours(bg: BasisGraph, fid: int) -> Set[int]:
-    """Surviving faces other than fid that share an edge with it."""
-    return {other for eid in bg.face(fid).edges
-            for other in bg.faces_on_edge(eid) if other != fid}
-
-
-def faces_sharing_edge(bg: BasisGraph, fid: int) -> List[int]:
-    return sorted(_edge_neighbours(bg, fid))
-
-
-def faces_sharing_only_vertices(bg: BasisGraph, fid: int) -> List[int]:
-    touching = {other for v in bg.face(fid).vertices
-                for other in bg.faces_on_vertex(v)}
-    return sorted(touching - _edge_neighbours(bg, fid) - {fid})
-
-
-def _cxe_for(bg: BasisGraph, x: int, ck: int) -> List[int]:
-    """Removable faces meeting Ck exactly at the common vertex x."""
-    ck_vertices = bg.face(ck).vertices
-    return [fid for fid in sorted(bg.faces_on_vertex(x))
-            if bg.face(fid).vertices & ck_vertices == {x}
-            and bg.is_removable(fid)]
-
-
-def _first_ck(residual: BasisGraph,
-              x: int) -> Tuple[Optional[int], Tuple[int, ...]]:
-    """The first Ck at x and its Cxe, or (None, ()) when there is no Ck."""
-    ks = find_Ck(residual, x)
-    if not ks:
-        return None, ()
-    return ks[0], tuple(_cxe_for(residual, x, ks[0]))
-
-
-def _context_of(residual: BasisGraph, x: int,
-                cx: Tuple[int, ...]) -> HoleContext:
-    ck, cxe = _first_ck(residual, x)
-    ce: Tuple[int, ...] = ()
-    cv: Tuple[int, ...] = ()
-    if ck is not None:
-        ce = tuple(f for f in faces_sharing_edge(residual, ck)
-                   if residual.is_removable(f))
-        cv = tuple(faces_sharing_only_vertices(residual, ck))
-    return HoleContext(x=x, cx=cx, ck=ck, cxe=cxe, ce=ce, cv=cv)
-
-
-def build_context(bg: BasisGraph, x: int,
+def build_context(residual: BasisGraph, x: int,
                   cx: Tuple[int, ...]) -> HoleContext:
-    return _context_of(bg.remove_faces(cx), x, cx)
+    """The hole context of a C_x set, given the residual after removing it.
+
+    C_e are the removable faces sharing an edge with C_k, and C_v the
+    faces that touch C_k only at vertices.
+    """
+    ck, cxe = find_Ck(residual, x)
+    if ck is None:
+        return HoleContext(x=x, cx=cx)
+    face = residual.face(ck)
+    edge_n = {f for eid in face.edges
+              for f in residual.faces_on_edge(eid)} - {ck}
+    touching = {f for v in face.vertices for f in residual.faces_on_vertex(v)}
+    return HoleContext(
+        x=x, cx=cx, ck=ck, cxe=cxe,
+        ce=tuple(f for f in sorted(edge_n) if residual.is_removable(f)),
+        cv=tuple(sorted(touching - edge_n - {ck})))
 
 
 # -- peeling and the hole search --------------------------------------------
@@ -180,25 +155,14 @@ def peel_from(residual: BasisGraph, ctx: HoleContext) -> BasisGraph:
         residual, done = _safe_remove(residual, ck)
         if not done:
             return residual
-        ck, cxe = _first_ck(residual, ctx.x)
+        ck, cxe = find_Ck(residual, ctx.x)
     return residual
 
 
-def _peels_to_hole(residual: BasisGraph, ctx: HoleContext) -> bool:
-    """Whether peeling from ctx drives a feasible C_x residual infeasible."""
+def is_global_hole(residual: BasisGraph, ctx: HoleContext) -> bool:
+    """Whether peeling from ctx, the context of the feasible C_x residual,
+    leaves a residual whose equation is infeasible."""
     return not solvable(equation_of_graph(peel_from(residual, ctx)))
-
-
-def is_global_hole(g: PlanarEmbedding, basis: FaceBasis,
-                   ctx: HoleContext) -> bool:
-    """True when the fully peeled residual starting from ctx has an
-    infeasible equation."""
-    if not ctx.cx:
-        return False
-    residual = BasisGraph(g, basis).remove_faces(ctx.cx)
-    if not solvable(equation_of_graph(residual)):
-        return False
-    return _peels_to_hole(residual, _context_of(residual, ctx.x, ctx.cx))
 
 
 def hole_contexts(g: PlanarEmbedding, bg: BasisGraph,
@@ -214,8 +178,8 @@ def hole_contexts(g: PlanarEmbedding, bg: BasisGraph,
         if g.degree(x) < 4:
             continue
         for cx, residual in _cx_walk(bg, x, max_cx):
-            ctx = _context_of(residual, x, cx)
-            yield ctx, _peels_to_hole(residual, ctx)
+            ctx = build_context(residual, x, cx)
+            yield ctx, is_global_hole(residual, ctx)
 
 
 # -- the decision ------------------------------------------------------------

@@ -24,7 +24,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 from .embedding import (EdgeSet, PlanarEmbedding, is_hamilton_cycle,
                         trace_faces, write_pgg)
@@ -187,24 +188,28 @@ def hamilton_oracle(g: PlanarEmbedding, budget: int = 10 ** 6) -> OracleResult:
 
 # -- generators --------------------------------------------------------------
 
+def _polygons_to_embedding(rings: List[Sequence[Tuple[int, int]]],
+                           name: str) -> PlanarEmbedding:
+    """Straight-line drawing of polygon rings: vertices are the corners,
+    numbered in sorted point order, and edges the ring sides (shared sides
+    deduplicated)."""
+    points = sorted({p for ring in rings for p in ring})
+    ids = {p: i for i, p in enumerate(points)}
+    sides: Set[Tuple[int, int]] = set()
+    for ring in rings:
+        for i, p in enumerate(ring):
+            a, b = ids[ring[i - 1]], ids[p]
+            sides.add((min(a, b), max(a, b)))
+    return PlanarEmbedding(dict(enumerate(points)), sorted(sides), name=name)
+
+
 def cells_to_embedding(cells: Iterable[Tuple[int, int]],
                        name: str) -> PlanarEmbedding:
     """Lattice graph carried by a set of unit cells: vertices are the cell
     corners, edges the cell sides (shared sides deduplicated)."""
-    cells = set(cells)
-    corners: Set[Tuple[int, int]] = set()
-    sides: Set[Tuple[Tuple[int, int], Tuple[int, int]]] = set()
-    for cx, cy in cells:
-        quad = [(cx, cy), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1)]
-        corners.update(quad)
-        for i in range(4):
-            a, b = quad[i], quad[(i + 1) % 4]
-            sides.add((min(a, b), max(a, b)))
-    points = sorted(corners)
-    ids = {p: i for i, p in enumerate(points)}
-    coords = {i: p for p, i in ids.items()}
-    edges = sorted((ids[a], ids[b]) for a, b in sides)
-    return PlanarEmbedding(coords, edges, name=name)
+    return _polygons_to_embedding(
+        [((cx, cy), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1))
+         for cx, cy in cells], name)
 
 
 def gen_grid(m: int, n: int,

@@ -160,12 +160,6 @@ class BasisGraph:
         child.weights = weights
         return child
 
-    def remove_faces(self, fids: Iterable[int]) -> "BasisGraph":
-        bg = self
-        for fid in fids:
-            bg = bg.remove_face(fid)
-        return bg
-
     def __repr__(self):
         return (f"BasisGraph({self.g.name!r}, edges={len(self.weights)}, "
                 f"faces={len(self.face_ids)})")

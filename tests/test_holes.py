@@ -1,14 +1,13 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from polygrid import trace_faces
-from polygrid.holes import (CLAW, GLOBAL_HOLE, HAMILTONIAN, NO_SOLUTION,
-                            UNVERIFIED, _cxe_for, build_context, candidate_Cx,
-                            decide, faces_sharing_edge,
-                            faces_sharing_only_vertices, find_Ck,
-                            is_global_hole)
+from polygrid import holes, trace_faces
+from polygrid.holes import (CLAW, HAMILTONIAN, NO_SOLUTION, UNVERIFIED,
+                            build_context, candidate_Cx, decide, find_Ck,
+                            hole_contexts, is_global_hole)
 from polygrid.embedding import is_hamilton_cycle
 from polygrid.grinberg import equation_of_graph, solvable
 from polygrid.oracle import gen_grid
@@ -17,6 +16,13 @@ from polygrid.structure import CASE_I, CASE_II, BasisGraph, claw_d2_scan
 
 def vertex_at(g, xy):
     return next(v for v, p in g.coords.items() if p == xy)
+
+
+def residual_of(bg, cx):
+    """Replay the removal of the faces in cx, in order."""
+    for fid in cx:
+        bg = bg.remove_face(fid)
+    return bg
 
 
 def test_candidate_cx_grid3_empty(grid3):
@@ -45,7 +51,7 @@ def test_candidate_cx_grid4_centre(grid4):
     # into a boundary vertex, so the singleton qualifies.
     assert (centre_face,) in cands
     for cx in cands:
-        residual = bg.remove_faces(cx)
+        residual = residual_of(bg, cx)
         assert residual.degree(x) == 4
         assert residual.vertex_class(x).tag == "boundary"
 
@@ -91,22 +97,12 @@ def test_find_ck_grid4_before_peel(grid4):
     # Only the centre face qualifies: removable, on x, all edges weight 2,
     # and every corner is an interior vertex.  Faces with weight-1 edges
     # are excluded outright.
-    ks = find_Ck(bg, x)
+    ks = _scan_find_ck(bg, x)
     assert len(ks) == 1
+    assert find_Ck(bg, x)[0] == ks[0]
     face = bg.face(ks[0])
     assert all(bg.weights[e] == 2 for e in face.edges)
     assert x in face.vertices
-
-
-def test_face_neighbour_helpers(grid3):
-    bg = BasisGraph(grid3, trace_faces(grid3))
-    for fid in bg.face_ids:
-        edge_n = faces_sharing_edge(bg, fid)
-        corner_n = faces_sharing_only_vertices(bg, fid)
-        assert len(edge_n) == 2
-        assert len(corner_n) == 1
-        assert set(edge_n) | set(corner_n) | {fid} == set(bg.face_ids)
-        assert fid not in edge_n and fid not in corner_n
 
 
 # Reference scans over every surviving face, which the incidence lookups
@@ -161,16 +157,20 @@ def test_incidence_lookups_match_face_scans(grid4, fig8, twin_nonagons):
                     break
                 bg = bg.remove_face(rng.choice(removable))
             for x in bg.vertices():
-                ks = find_Ck(bg, x)
-                assert ks == _scan_find_ck(bg, x), (g.name, x)
-                found_ck += len(ks)
-                for ck in bg.faces_on_vertex(x):
-                    assert _cxe_for(bg, x, ck) == _scan_cxe(bg, x, ck)
-            for fid in bg.face_ids:
-                assert faces_sharing_edge(bg, fid) == \
-                    _scan_sharing_edge(bg, fid)
-                assert faces_sharing_only_vertices(bg, fid) == \
-                    _scan_sharing_only_vertices(bg, fid)
+                ks = _scan_find_ck(bg, x)
+                ck, cxe = find_Ck(bg, x)
+                ctx = build_context(bg, x, ())
+                if ck is None:
+                    assert ks == [], (g.name, x)
+                    assert cxe == () and ctx == holes.HoleContext(x, ())
+                    continue
+                found_ck += 1
+                assert ck == ks[0], (g.name, x)
+                assert cxe == tuple(_scan_cxe(bg, x, ck))
+                assert (ctx.ck, ctx.cxe) == (ck, cxe)
+                assert ctx.ce == tuple(f for f in _scan_sharing_edge(bg, ck)
+                                       if bg.is_removable(f))
+                assert ctx.cv == tuple(_scan_sharing_only_vertices(bg, ck))
     assert found_ck > 0
 
 
@@ -178,7 +178,7 @@ def test_build_context_grid4(grid4):
     bg = BasisGraph(grid4, trace_faces(grid4))
     x = vertex_at(grid4, (1, 1))
     cx = candidate_Cx(bg, x)[0]
-    ctx = build_context(bg, x, cx)
+    ctx = build_context(residual_of(bg, cx), x, cx)
     assert ctx.x == x
     assert ctx.cx == cx
     # After removing Cx no residual face on x both is removable and holds
@@ -188,21 +188,36 @@ def test_build_context_grid4(grid4):
 
 
 def test_is_global_hole_false_on_grid4(grid4):
-    basis = trace_faces(grid4)
-    bg = BasisGraph(grid4, basis)
+    bg = BasisGraph(grid4, trace_faces(grid4))
     for x in sorted(grid4.coords):
         if grid4.degree(x) < 4:
             continue
         for cx in candidate_Cx(bg, x):
-            ctx = build_context(bg, x, cx)
-            assert not is_global_hole(grid4, basis, ctx)
+            residual = residual_of(bg, cx)
+            ctx = build_context(residual, x, cx)
+            assert not is_global_hole(residual, ctx)
 
 
-def test_is_global_hole_requires_cx(grid4):
-    basis = trace_faces(grid4)
-    ctx = build_context(BasisGraph(grid4, basis),
-                        vertex_at(grid4, (1, 1)), ())
-    assert not is_global_hole(grid4, basis, ctx)
+def test_hole_contexts_calls_each_step_once_per_context(monkeypatch):
+    # The search reaches its steps through the module's public names, so a
+    # wrapper installed there (as the benchmark tracer does) sees each one.
+    calls = Counter()
+
+    def counting(name):
+        step = getattr(holes, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return step(*args)
+        return wrapper
+
+    for name in ("build_context", "is_global_hole"):
+        monkeypatch.setattr(holes, name, counting(name))
+    g = gen_grid(4, 5)
+    found = list(hole_contexts(g, BasisGraph(g, trace_faces(g)), 3))
+    assert found
+    assert calls == {"build_context": len(found),
+                     "is_global_hole": len(found)}
 
 
 def test_decide_square(square):
