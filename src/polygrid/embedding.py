@@ -165,13 +165,13 @@ class PlanarEmbedding:
         return self.edge_index[(u, v)]
 
     @functools.cached_property
-    def incident_edge_ids(self) -> Dict[int, Tuple[int, ...]]:
-        """Ids of the edges at each vertex, ascending."""
-        out: Dict[int, List[int]] = {v: [] for v in self.coords}
+    def incident_edge_masks(self) -> Dict[int, int]:
+        """The edges at each vertex as a bitset: bit i is edge i."""
+        out = dict.fromkeys(self.coords, 0)
         for eid, (u, v) in enumerate(self.edges):
-            out[u].append(eid)
-            out[v].append(eid)
-        return {v: tuple(eids) for v, eids in out.items()}
+            out[u] |= 1 << eid
+            out[v] |= 1 << eid
+        return out
 
     def __repr__(self):
         return (f"PlanarEmbedding({self.name!r}, |V|={self.order}, "
@@ -274,6 +274,12 @@ class FaceBasis:
 
     def face_ids(self) -> Tuple[int, ...]:
         return tuple(range(len(self.faces)))
+
+    @functools.cached_property
+    def edge_masks(self) -> Tuple[int, ...]:
+        """The edges of each face as a bitset: bit i is edge i."""
+        return tuple(sum(1 << eid for eid in face.edges)
+                     for face in self.faces)
 
     @functools.cached_property
     def vertex_face_ids(self) -> Dict[int, Tuple[int, ...]]:

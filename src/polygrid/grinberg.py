@@ -29,7 +29,7 @@ class GrinbergEquation:
     order: int                     # |V|
 
     def __post_init__(self):
-        if any(l < 3 for l in self.lengths):
+        if self.lengths and min(self.lengths) < 3:
             raise ValueError("face lengths must be >= 3")
         if len(self.face_ids) != len(self.lengths):
             raise ValueError("face_ids and lengths must align")
@@ -87,7 +87,7 @@ def equation_of(basis: FaceBasis, g: PlanarEmbedding) -> GrinbergEquation:
 
 
 def equation_of_graph(bg: BasisGraph) -> GrinbergEquation:
-    return GrinbergEquation(tuple(bg.face_ids), bg.face_lengths(), bg.order)
+    return GrinbergEquation(bg.face_ids, bg.lengths, bg.order)
 
 
 def format_equation(eq: GrinbergEquation) -> str:

@@ -95,13 +95,13 @@ def find_Ck(residual: BasisGraph,
     of the residual, so its removal deletes no edge and it is removable;
     C_xe are the removable faces that meet C_k exactly at x.
     """
-    w = residual.weights
+    w2 = residual.w2_mask
+    masks = residual.basis.edge_masks
     on_x = sorted(residual.faces_on_vertex(x))
     for ck in on_x:
         face = residual.face(ck)
-        if (all(w[eid] != 1 for eid in face.edges)
-                and any(residual.vertex_class(v).tag == "interior"
-                        for v in face.vertices)):
+        if (not masks[ck] & ~w2
+                and any(residual.is_interior(v) for v in face.vertices)):
             return ck, tuple(
                 fid for fid in on_x
                 if residual.face(fid).vertices & face.vertices == {x}

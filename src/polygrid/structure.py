@@ -1,17 +1,19 @@
 """Edge weights, boundary/interior vertices, claw(d2) scanning and
 removable-cycle bookkeeping.
 
-A `BasisGraph` is the face basis with some faces removed, held as the
-surviving faces and the weight of each surviving edge; removals return a
-new graph, so they can be chained without mutating anything.
+A `BasisGraph` is the face basis with some faces removed, held as integer
+bitsets of the surviving faces, the surviving edges and the weight-2
+edges; removals return a new graph, so they can be chained without
+mutating anything.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
-from .embedding import Face, FaceBasis, PlanarEmbedding, reach
+from .embedding import Face, FaceBasis, PlanarEmbedding
 
 CASE_I = "case-i"
 CASE_II = "case-ii"
@@ -42,14 +44,15 @@ class ClawReport:
 class BasisGraph:
     """The face basis with some faces removed.
 
-    Its state is the surviving faces, `weights` and `order`.  `weights`
-    maps each surviving edge to w(e), the number of surviving faces on it,
-    so its keys are the surviving edges.  Built with no face set, every
-    face and every edge survives, bridges at weight 0; built with a face
-    set, only those faces and their edges survive.  Removing a face deletes
-    only its weight-1 edges, because another face still uses the others.
-    A graph made by `remove_face` keeps its parent's order, since a
-    removal isolates no vertex.
+    Its state is three bitsets (bit i is face or edge i), the aligned
+    `face_ids` (ascending) and `lengths` of the surviving faces, and
+    `order`.  `face_mask` holds the surviving faces, `edge_mask` the
+    surviving edges and `w2_mask` those on two surviving faces; the others
+    have weight 1, or 0 for a bridge.  Built with no face set, every face
+    and every edge survives, bridges included; built with a face set, only
+    those faces and their edges survive.  Removing a face deletes only its
+    weight-1 edges, since another face still uses the others, and may
+    isolate no vertex, so the child keeps its parent's order.
     """
 
     def __init__(self, g: PlanarEmbedding, basis: FaceBasis,
@@ -58,17 +61,25 @@ class BasisGraph:
         self.basis = basis
         self.face_ids = (basis.face_ids() if face_ids is None
                          else tuple(sorted(set(face_ids))))
-        self._face_set = frozenset(self.face_ids)
-        w = dict.fromkeys(range(g.size), 0) if face_ids is None else {}
+        self.lengths = tuple(basis.faces[fid].length
+                             for fid in self.face_ids)
+        masks = basis.edge_masks
+        faces = covered = w2 = over = 0
         for fid in self.face_ids:
-            for eid in self.face(fid).edges:
-                w[eid] = w.get(eid, 0) + 1
-        for eid, count in w.items():
-            if count > 2:
-                u, v = g.edges[eid]
-                raise NonTilingBasisError(
-                    f"edge {u} {v} lies on {count} basis faces")
-        self.weights: Dict[int, int] = w
+            mask = masks[fid]
+            over |= w2 & mask
+            w2 |= covered & mask
+            covered |= mask
+            faces |= 1 << fid
+        if over:
+            eid = (over & -over).bit_length() - 1
+            u, v = g.edges[eid]
+            count = sum(masks[fid] >> eid & 1 for fid in self.face_ids)
+            raise NonTilingBasisError(
+                f"edge {u} {v} lies on {count} basis faces")
+        self.face_mask = faces
+        self.edge_mask = (1 << g.size) - 1 if face_ids is None else covered
+        self.w2_mask = w2
         self.order = len(self.vertices())
 
     # -- derived structure ---------------------------------------------------
@@ -78,90 +89,108 @@ class BasisGraph:
 
     def vertices(self) -> List[int]:
         """The non-isolated vertices, ascending."""
-        edges = self.g.edges
-        return sorted({v for eid in self.weights for v in edges[eid]})
+        edges = self.edge_mask
+        return sorted(v for v, mask in self.g.incident_edge_masks.items()
+                      if mask & edges)
 
     def degree(self, v: int) -> int:
-        return len(self.incident_edges(v))
+        return (self.g.incident_edge_masks.get(v, 0)
+                & self.edge_mask).bit_count()
 
     def faces_on_vertex(self, v: int) -> FrozenSet[int]:
-        face_set = self._face_set
+        faces = self.face_mask
         return frozenset(fid for fid in self.basis.vertex_face_ids.get(v, ())
-                         if fid in face_set)
+                         if faces >> fid & 1)
 
     def faces_on_edge(self, eid: int) -> FrozenSet[int]:
-        face_set = self._face_set
+        faces = self.face_mask
         return frozenset(fid for fid in self.basis.edge_face_ids[eid]
-                         if fid in face_set)
+                         if faces >> fid & 1)
 
-    def incident_edges(self, v: int) -> List[int]:
-        w = self.weights
-        return [eid for eid in self.g.incident_edge_ids.get(v, ())
-                if eid in w]
+    def is_interior(self, v: int) -> bool:
+        """Whether v has a surviving edge and all of them have weight 2."""
+        incident = self.g.incident_edge_masks.get(v, 0) & self.edge_mask
+        return bool(incident) and not incident & ~self.w2_mask
 
     def vertex_class(self, v: int) -> VertexClass:
         cycles_on = self.faces_on_vertex(v)
-        w = self.weights
-        incident = [w[eid] for eid in self.incident_edges(v)]
-        w2 = incident.count(2)
-        if incident and w2 == len(incident):
+        if self.is_interior(v):
             return VertexClass("interior", cycles_on)
-        if w2 == len(cycles_on) - 1:
+        w2 = self.g.incident_edge_masks.get(v, 0) & self.w2_mask
+        if w2.bit_count() == len(cycles_on) - 1:
             return VertexClass("boundary", cycles_on)
         return VertexClass("other", cycles_on)
 
-    def boundary_edge_ids(self) -> FrozenSet[int]:
-        return frozenset(
-            eid for eid, count in self.weights.items() if count == 1)
+    @property
+    def weights(self) -> Dict[int, int]:
+        """w(e), the number of surviving faces on e, for each surviving
+        edge in ascending order; a fresh dict derived from the masks."""
+        covered = 0
+        for fid in self.face_ids:
+            covered |= self.basis.edge_masks[fid]
+        edges, w2 = self.edge_mask, self.w2_mask
+        return {eid: (covered >> eid & 1) + (w2 >> eid & 1)
+                for eid in range(self.g.size) if edges >> eid & 1}
 
-    def face_lengths(self) -> Tuple[int, ...]:
-        return tuple(self.face(fid).length for fid in self.face_ids)
+    def boundary_edge_ids(self) -> FrozenSet[int]:
+        return frozenset(eid for eid, w in self.weights.items() if w == 1)
 
     def connected(self) -> bool:
-        adj: Dict[int, List[int]] = {}
-        for eid in self.weights:
-            u, v = self.g.edges[eid]
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        return not adj or len(reach(adj, next(iter(adj)))) == len(adj)
+        """Whether the surviving edges form one component: a flood from
+        the lowest edge that reaches the edges at each reached edge's
+        endpoints."""
+        edges = self.edge_mask
+        incident = self.g.incident_edge_masks
+        ends = self.g.edges
+        reached = todo = edges & -edges
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            u, v = ends[low.bit_length() - 1]
+            new = (incident[u] | incident[v]) & edges & ~reached
+            reached |= new
+            todo |= new
+        return reached == edges
 
     # -- removal -------------------------------------------------------------
 
     def _isolates(self, fid: int) -> bool:
         """Whether deleting the face's weight-1 edges isolates a vertex."""
-        face = self.face(fid)
-        w = self.weights
-        doomed = {eid for eid in face.edges if w[eid] == 1}
-        incident = self.g.incident_edge_ids
-        return any(all(eid in doomed or eid not in w for eid in incident[v])
-                   for v in face.vertices)
+        doomed = self.basis.edge_masks[fid] & ~self.w2_mask
+        if not doomed:
+            return False
+        kept = self.edge_mask & ~doomed
+        incident = self.g.incident_edge_masks
+        for v in self.face(fid).cycle:
+            if not incident[v] & kept:
+                return True
+        return False
 
     def is_removable(self, fid: int) -> bool:
         """A surviving face is removable when deleting its weight-1 edges
         isolates no vertex (graph order unchanged)."""
-        return fid in self._face_set and not self._isolates(fid)
+        return bool(self.face_mask >> fid & 1) and not self._isolates(fid)
 
     def remove_face(self, fid: int) -> "BasisGraph":
-        if fid not in self._face_set:
+        if not self.face_mask >> fid & 1:
             raise ValueError(f"face {fid} is not in the surviving basis")
         if self._isolates(fid):
             raise NotRemovableError(
                 f"face {fid} is not removable (a vertex would be isolated)")
-        weights = dict(self.weights)
-        for eid in self.face(fid).edges:
-            if weights[eid] == 1:
-                del weights[eid]
-            else:
-                weights[eid] -= 1
+        mask = self.basis.edge_masks[fid]
+        k = bisect_left(self.face_ids, fid)
         child = object.__new__(BasisGraph)
         child.g, child.basis, child.order = self.g, self.basis, self.order
-        child.face_ids = tuple(f for f in self.face_ids if f != fid)
-        child._face_set = self._face_set - {fid}
-        child.weights = weights
+        child.face_ids = self.face_ids[:k] + self.face_ids[k + 1:]
+        child.lengths = self.lengths[:k] + self.lengths[k + 1:]
+        child.face_mask = self.face_mask & ~(1 << fid)
+        child.edge_mask = self.edge_mask & ~(mask & ~self.w2_mask)
+        child.w2_mask = self.w2_mask & ~mask
         return child
 
     def __repr__(self):
-        return (f"BasisGraph({self.g.name!r}, edges={len(self.weights)}, "
+        return (f"BasisGraph({self.g.name!r}, "
+                f"edges={self.edge_mask.bit_count()}, "
                 f"faces={len(self.face_ids)})")
 
 

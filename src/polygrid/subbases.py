@@ -149,20 +149,38 @@ def _merge_overlapping(
 
 
 def _articulation_faces(adj: Dict[int, Set[int]]) -> Set[int]:
-    """Faces whose removal disconnects their adjacency component."""
-    out = set()
-    comps_before = components(adj)
-    comp_of = {}
-    for comp in comps_before:
-        for fid in comp:
-            comp_of[fid] = comp
-    for fid in adj:
-        comp = comp_of[fid]
-        if len(comp) <= 2:
+    """Faces whose removal disconnects their adjacency component, by one
+    Hopcroft-Tarjan low-link search on an explicit stack, so a long path of
+    faces cannot exhaust the recursion limit."""
+    out: Set[int] = set()
+    disc: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    for root in adj:
+        if root in disc:
             continue
-        rest = {f: adj[f] - {fid} for f in comp if f != fid}
-        if len(components(rest)) > 1:
-            out.add(fid)
+        disc[root] = low[root] = len(disc)
+        children = 0
+        stack = [(root, None, iter(adj[root]))]
+        while stack:
+            fid, parent, todo = stack[-1]
+            for other in todo:
+                if other not in disc:
+                    disc[other] = low[other] = len(disc)
+                    stack.append((other, fid, iter(adj[other])))
+                    break
+                if other != parent:
+                    low[fid] = min(low[fid], disc[other])
+            else:
+                stack.pop()
+                if parent is None:
+                    continue
+                low[parent] = min(low[parent], low[fid])
+                if parent == root:
+                    children += 1
+                elif low[fid] >= disc[parent]:
+                    out.add(parent)
+        if children >= 2:
+            out.add(root)
     return out
 
 

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from polygrid import trace_faces
-from polygrid.embedding import FaceBasis
-from polygrid.oracle import gen_grid
+from polygrid.embedding import FaceBasis, reach
+from polygrid.grinberg import GrinbergEquation, equation_of_graph
+from polygrid.oracle import enumerate_polyominoes, gen_grid
 from polygrid.structure import (CASE_I, CASE_II, BasisGraph,
                                 NonTilingBasisError, NotRemovableError,
-                                claw_d2_scan)
+                                VertexClass, claw_d2_scan)
 
 
 def vertex_at(g, xy):
@@ -50,6 +51,23 @@ def test_edge_on_three_faces_rejected(square):
         BasisGraph(square, tripled)
 
 
+def test_edge_on_three_faces_named_by_lowest_id(domino):
+    basis = trace_faces(domino)
+    tripled = FaceBasis(faces=basis.faces * 3, outer_edges=basis.outer_edges,
+                        outer_walk=basis.outer_walk)
+    fids = [1, 3, 4, 5]
+    counts = {}
+    for fid in fids:
+        for eid in tripled.faces[fid].edges:
+            counts[eid] = counts.get(eid, 0) + 1
+    eid = min(e for e, count in counts.items() if count > 2)
+    u, v = domino.edges[eid]
+    with pytest.raises(NonTilingBasisError) as info:
+        BasisGraph(domino, tripled, fids)
+    assert str(info.value) == \
+        f"edge {u} {v} lies on {counts[eid]} basis faces"
+
+
 def test_weight_sum_equals_length_sum(square, domino, grid3, grid4, fig8,
                                       twin_nonagons):
     for g in (square, domino, grid3, grid4, fig8, twin_nonagons):
@@ -82,7 +100,7 @@ def test_classification_is_total_and_exclusive(grid4, fig8):
         for v in g.coords:
             cls = bg.vertex_class(v)
             assert cls.tag in ("boundary", "interior", "other")
-            incident = bg.incident_edges(v)
+            incident = [e for e in bg.weights if v in g.edges[e]]
             all_w2 = all(bg.weights[e] == 2 for e in incident)
             w2 = sum(1 for e in incident if bg.weights[e] == 2)
             bdry = w2 == len(cls.cycles_on) - 1
@@ -178,7 +196,6 @@ def _assert_same_structure(bg, fresh):
     assert bg.order == fresh.order
     for v in bg.g.coords:
         assert bg.degree(v) == fresh.degree(v)
-        assert bg.incident_edges(v) == fresh.incident_edges(v)
         assert bg.faces_on_vertex(v) == fresh.faces_on_vertex(v)
         assert bg.vertex_class(v) == fresh.vertex_class(v)
 
@@ -237,3 +254,107 @@ def test_bridge_kept_by_root_dropped_by_face_set(bridged_blocks):
     assert len(faces_only.weights) == g.size - 1
     assert faces_only.order == g.order
     assert not faces_only.connected()
+
+
+class DictModel:
+    """The weight-map state the bitsets replaced: the surviving faces and a
+    dict from each surviving edge to its weight, every query recounted."""
+
+    def __init__(self, g, basis):
+        self.g, self.basis = g, basis
+        self.face_ids = set(range(len(basis.faces)))
+        self.weights = dict.fromkeys(range(g.size), 0)
+        for face in basis.faces:
+            for eid in face.edges:
+                self.weights[eid] += 1
+        self.order = len(self.vertices())
+
+    def vertices(self):
+        return sorted({v for eid in self.weights for v in self.g.edges[eid]})
+
+    def incident_edges(self, v):
+        return [eid for eid in sorted(self.weights) if v in self.g.edges[eid]]
+
+    def faces_on_vertex(self, v):
+        return frozenset(fid for fid in self.face_ids
+                         if v in self.basis.faces[fid].vertices)
+
+    def vertex_class(self, v):
+        cycles_on = self.faces_on_vertex(v)
+        incident = [self.weights[eid] for eid in self.incident_edges(v)]
+        w2 = incident.count(2)
+        if incident and w2 == len(incident):
+            return VertexClass("interior", cycles_on)
+        if w2 == len(cycles_on) - 1:
+            return VertexClass("boundary", cycles_on)
+        return VertexClass("other", cycles_on)
+
+    def boundary_edge_ids(self):
+        return frozenset(e for e, count in self.weights.items() if count == 1)
+
+    def is_removable(self, fid):
+        if fid not in self.face_ids:
+            return False
+        face = self.basis.faces[fid]
+        doomed = {eid for eid in face.edges if self.weights[eid] == 1}
+        return all(any(eid not in doomed for eid in self.incident_edges(v))
+                   for v in face.vertices)
+
+    def remove(self, fid):
+        for eid in self.basis.faces[fid].edges:
+            self.weights[eid] -= 1
+            if self.weights[eid] == 0:
+                del self.weights[eid]
+        self.face_ids.discard(fid)
+
+    def connected(self):
+        adj = {}
+        for eid in self.weights:
+            u, v = self.g.edges[eid]
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        return not adj or len(reach(adj, next(iter(adj)))) == len(adj)
+
+    def equation(self):
+        fids = tuple(sorted(self.face_ids))
+        return GrinbergEquation(
+            fids, tuple(self.basis.faces[f].length for f in fids), self.order)
+
+
+def _assert_matches_model(bg, model):
+    assert bg.weights == model.weights
+    assert list(bg.weights) == sorted(model.weights)
+    assert bg.boundary_edge_ids() == model.boundary_edge_ids()
+    assert bg.order == model.order
+    assert bg.vertices() == model.vertices()
+    for v in bg.g.coords:
+        assert bg.degree(v) == len(model.incident_edges(v))
+        assert bg.faces_on_vertex(v) == model.faces_on_vertex(v)
+        assert bg.vertex_class(v) == model.vertex_class(v)
+    for fid in range(len(bg.basis.faces)):
+        assert bg.is_removable(fid) == model.is_removable(fid)
+    assert bg.connected() == model.connected()
+    assert equation_of_graph(bg) == model.equation()
+
+
+def test_mask_state_matches_weight_map_model(grid4, bridged_blocks):
+    rng = random.Random(11)
+    graphs = [(grid4, 12), (gen_grid(4, 5), 12),
+              (gen_grid(5, 6, [(1, 1), (2, 1)]), 12), (bridged_blocks, 12)]
+    graphs += [(g, 2) for g in enumerate_polyominoes(6)]
+    for g, chains in graphs:
+        basis = trace_faces(g)
+        bridges = [eid for eid in range(g.size)
+                   if not basis.edge_face_ids[eid]]
+        for _ in range(chains):
+            bg, model = BasisGraph(g, basis), DictModel(g, basis)
+            _assert_matches_model(bg, model)
+            for _ in range(rng.randint(1, 5)):
+                removable = [f for f in bg.face_ids if bg.is_removable(f)]
+                if not removable:
+                    break
+                fid = rng.choice(removable)
+                bg = bg.remove_face(fid)
+                model.remove(fid)
+                _assert_matches_model(bg, model)
+                assert all(bg.weights[eid] == 0 for eid in bridges)

@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polygrid import trace_faces
+from polygrid.embedding import components
 from polygrid.oracle import gen_grid
 from polygrid.structure import BasisGraph
-from polygrid.subbases import (SubbasisRecord, _merge_overlapping,
-                               boundary_element_set, check_prop_6_1,
-                               decompose, reduce_to_Gg)
+from polygrid.subbases import (SubbasisRecord, _articulation_faces,
+                               _merge_overlapping, boundary_element_set,
+                               check_prop_6_1, decompose, reduce_to_Gg)
 
 
 def vertex_at(g, xy):
@@ -186,3 +189,60 @@ def test_merge_overlapping_matches_restart_loop():
         assert sorted(got, key=_key) == sorted(want, key=_key), records
         merges += len(records) - len(got)
     assert merges > 0
+
+
+def _recount_articulation_faces(adj):
+    """Faces whose removal splits their component, found by recounting the
+    components once per face."""
+    out = set()
+    comp_of = {fid: comp for comp in components(adj) for fid in comp}
+    for fid in adj:
+        comp = comp_of[fid]
+        if len(comp) <= 2:
+            continue
+        rest = {f: adj[f] - {fid} for f in comp if f != fid}
+        if len(components(rest)) > 1:
+            out.add(fid)
+    return out
+
+
+@st.composite
+def face_graphs(draw):
+    """Adjacency graphs made of paths, cycles, trees, random parts and
+    components of one or two faces, under a random relabelling."""
+    pairs, size = [], 0
+    for kind in draw(st.lists(st.sampled_from(
+            ["path", "cycle", "tree", "random", "small"]),
+            min_size=1, max_size=4)):
+        n = draw(st.integers(1, 2) if kind == "small"
+                 else st.integers(3 if kind == "cycle" else 1, 12))
+        if kind in ("path", "cycle", "small"):
+            local = [(i, i + 1) for i in range(n - 1)]
+            if kind == "cycle":
+                local.append((n - 1, 0))
+        elif kind == "tree":
+            local = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+        else:
+            local = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)),
+                                  max_size=2 * n))
+        pairs += [(size + a, size + b) for a, b in local if a != b]
+        size += n
+    label = draw(st.permutations(range(size)))
+    adj = {label[i]: set() for i in range(size)}
+    for a, b in pairs:
+        adj[label[a]].add(label[b])
+        adj[label[b]].add(label[a])
+    return adj
+
+
+@given(face_graphs())
+@settings(max_examples=300)
+def test_articulation_faces_match_recount(adj):
+    assert _articulation_faces(adj) == _recount_articulation_faces(adj)
+
+
+def test_articulation_faces_on_a_path_past_the_recursion_limit():
+    n = 5000
+    adj = {i: {j for j in (i - 1, i + 1) if 0 <= j < n} for i in range(n)}
+    assert _articulation_faces(adj) == set(range(1, n - 1))
