@@ -1,11 +1,11 @@
 """Non-Hamiltonian hole search and the Hamiltonicity criterion.
 
 The criterion pipeline: claw(d2) scan, equation feasibility, bounded search
-for globally non-Hamiltonian holes via the peeling procedure, then an
-attempt to certify Hamiltonicity by XOR-ing inside faces of solution
-partitions.  A Hamiltonian verdict always carries an independently verified
-cycle; when the criterion claims Hamiltonian but no tried partition
-certifies, the verdict is CriterionUnverified rather than a bare claim.
+for globally non-Hamiltonian holes by peeling C_k, then an attempt to
+certify Hamiltonicity by XOR-ing inside faces of solution partitions.  A
+Hamiltonian verdict always carries an independently verified cycle; when
+the criterion claims Hamiltonian but no tried partition certifies, the
+verdict is CriterionUnverified rather than a bare claim.
 """
 
 from __future__ import annotations
@@ -129,40 +129,25 @@ def build_context(residual: BasisGraph, x: int,
         cv=tuple(sorted(touching - edge_n - {ck})))
 
 
-# -- peeling and the hole search --------------------------------------------
-
-def _safe_remove(bg: BasisGraph, fid: int) -> Tuple[BasisGraph, bool]:
-    """Remove fid unless it is not removable or would disconnect."""
-    if not bg.is_removable(fid):
-        return bg, False
-    candidate = bg.remove_face(fid)
-    if not candidate.connected():
-        return bg, False
-    return candidate, True
-
-
-def peel_from(residual: BasisGraph, ctx: HoleContext) -> BasisGraph:
-    """Strip Cxe and then Ck at ctx.x, starting from the context's pair,
-    until no Ck remains or Ck cannot be removed; removals that would
-    disconnect the residual are skipped.
-
-    ctx must be the context of residual itself.
-    """
-    ck, cxe = ctx.ck, ctx.cxe
-    while ck is not None:
-        for fid in cxe:
-            residual, _ = _safe_remove(residual, fid)
-        residual, done = _safe_remove(residual, ck)
-        if not done:
-            return residual
-        ck, cxe = find_Ck(residual, ctx.x)
-    return residual
-
+# -- the global-hole test and the hole search --------------------------------
 
 def is_global_hole(residual: BasisGraph, ctx: HoleContext) -> bool:
-    """Whether peeling from ctx, the context of the feasible C_x residual,
-    leaves a residual whose equation is infeasible."""
-    return not solvable(equation_of_graph(peel_from(residual, ctx)))
+    """Whether removing ctx's C_k from residual, the feasible C_x residual
+    ctx was built on, leaves an infeasible equation.
+
+    One removal is the whole peel.  `_cx_walk` yields only residuals in
+    which x is a degree-4 boundary vertex, so the surviving faces at x
+    form one arc of three faces across its four edges.  A C_k has no
+    weight-1 edge, so only the middle face of the arc can be C_k; both
+    other faces share an edge with it, so C_xe is empty.  Once C_k is
+    gone, both faces left at x have a weight-1 edge there, so there is no
+    second C_k.  A peel step never leaves a disconnected residual, and
+    removing C_k deletes no edge, so C_k is removed exactly when the
+    residual is already connected.
+    """
+    if ctx.ck is not None and residual.connected():
+        residual = residual.remove_face(ctx.ck)
+    return not solvable(equation_of_graph(residual))
 
 
 def hole_contexts(g: PlanarEmbedding, bg: BasisGraph,
@@ -171,7 +156,7 @@ def hole_contexts(g: PlanarEmbedding, bg: BasisGraph,
     test, in search order: ascending beginning vertex of degree >= 4, then
     the lexicographic order of the C_x sets.
 
-    Each context is built and peeled from the residual the C_x walk
+    Each context is built and tested on the residual the C_x walk
     already holds, whose equation the walk has found feasible.
     """
     for x in sorted(g.coords):

@@ -272,8 +272,7 @@ def _canonical(cells: Set[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
 
 def compare(graphs: Iterable[PlanarEmbedding], budget: int = 10 ** 6,
             save_dir: Optional[Path] = None,
-            claw_mode: str = "strict", limit: int = 64,
-            max_cx: int = 3) -> AgreementReport:
+            claw_mode: str = "strict") -> AgreementReport:
     """Run decide() and the oracle on every graph.
 
     A NoSolution verdict against an oracle cycle would falsify the trusted
@@ -284,8 +283,7 @@ def compare(graphs: Iterable[PlanarEmbedding], budget: int = 10 ** 6,
     candidates: List[str] = []
     for g in graphs:
         basis = trace_faces(g)
-        verdict = decide(g, basis=basis, limit=limit, claw_mode=claw_mode,
-                         max_cx=max_cx)
+        verdict = decide(g, basis=basis, claw_mode=claw_mode)
         oracle = hamilton_oracle(g, budget=budget)
         found = oracle.found is not None
         if verdict.tag == NO_SOLUTION and found:

@@ -66,16 +66,12 @@ def boundary_element_set(basis: FaceBasis,
 
 
 def _boundary_elements(bg: BasisGraph) -> FrozenSet[int]:
-    w1 = bg.boundary_edge_ids()
-    classes = {v: bg.vertex_class(v).tag for v in bg.vertices()}
-    out = set()
-    for fid in bg.face_ids:
-        face = bg.face(fid)
-        if face.edges & w1:
-            out.add(fid)
-        elif any(classes[v] == "boundary" for v in face.vertices):
-            out.add(fid)
-    return frozenset(out)
+    w2 = bg.w2_mask
+    masks = bg.basis.edge_masks
+    boundary = {v for v in bg.vertices()
+                if bg.vertex_class(v).tag == "boundary"}
+    return frozenset(fid for fid in bg.face_ids
+                     if masks[fid] & ~w2 or bg.face(fid).vertices & boundary)
 
 
 def _face_adjacency(bg: BasisGraph,
@@ -89,14 +85,15 @@ def _face_adjacency(bg: BasisGraph,
             for fid in fids}
 
 
-def _bounds(bg: BasisGraph, boundary: Sequence[int],
-            interior: Sequence[int]) -> bool:
-    """True when, within the sub-basis boundary + interior, every interior
-    face still touches no weight-1 edge and no boundary vertex."""
-    if not interior:
-        return False
-    local = BasisGraph(bg.g, bg.basis, tuple(boundary) + tuple(interior))
-    return not (set(interior) & _boundary_elements(local))
+def _bounds(bg: BasisGraph, faces: Sequence[int], comp_edges: int,
+            comp_vertices: Sequence[int]) -> bool:
+    """True when, within the sub-basis of the given faces, no face of the
+    component is a boundary element: none of the component's edges has
+    weight 1 and none of its vertices is a boundary vertex."""
+    local = BasisGraph(bg.g, bg.basis, faces)
+    return not (comp_edges & ~local.w2_mask
+                or any(local.vertex_class(v).tag == "boundary"
+                       for v in comp_vertices))
 
 
 def decompose(g: PlanarEmbedding,
@@ -109,12 +106,14 @@ def decompose(g: PlanarEmbedding,
     records: List[SubbasisRecord] = []
     used_boundary: Set[int] = set()
     for comp in components(_face_adjacency(bg, interior_all)):
+        own = BasisGraph(g, basis, comp)
+        comp_edges, comp_vertices = own.edge_mask, own.vertices()
         # Greedy shrinking: drop boundary faces in descending index while
         # the remainder still bounds the component.
         minimal = sorted(belems)
         for fid in sorted(belems, reverse=True):
             trial = [f for f in minimal if f != fid]
-            if _bounds(bg, trial, comp):
+            if _bounds(bg, trial + list(comp), comp_edges, comp_vertices):
                 minimal = trial
         records.append(SubbasisRecord(interior=comp,
                                       boundary=tuple(minimal)))
@@ -201,13 +200,13 @@ def _region_perimeter(local: BasisGraph) -> Tuple[List[int], Set[int]]:
 
 def reduce_to_Gg(g: PlanarEmbedding,
                  decomposition: Optional[SubbasisDecomposition] = None,
-                 basis: Optional[FaceBasis] = None,
-                 claw_mode: str = "lenient") -> ReducedGraph:
+                 basis: Optional[FaceBasis] = None) -> ReducedGraph:
     """Replace each Hamiltonian interior region by one cycle of equal order.
 
-    Records whose interior region cannot be certified Hamiltonian are
-    reported in `failed`; per the subbasis argument any such record already
-    settles the whole graph as non-Hamiltonian.
+    Each region is decided under the lenient claw reading.  Records whose
+    interior region cannot be certified Hamiltonian are reported in
+    `failed`; per the subbasis argument any such record already settles
+    the whole graph as non-Hamiltonian.
     """
     if basis is None:
         basis = trace_faces(g)
@@ -223,7 +222,7 @@ def reduce_to_Gg(g: PlanarEmbedding,
             {v: g.coords[v] for v in local.vertices()},
             [g.edges[e] for e in sorted(local.weights)],
             name=f"{g.name}-g{idx}")
-        verdict = decide(sub, claw_mode=claw_mode)
+        verdict = decide(sub, claw_mode="lenient")
         if verdict.tag != HAMILTONIAN:
             failed.append(idx)
             continue
@@ -242,15 +241,13 @@ def _substitute_regions(g: PlanarEmbedding, regions) -> PlanarEmbedding:
                                name=f"{g.name}-reduced")
     drop_vertices: Set[int] = set()
     drop_edges: Set[int] = set()
-    extra_needed = 0
-    for _, walk, internal, order in regions:
+    for _, walk, internal, _ in regions:
         on_walk = set(walk)
         region_vertices = set()
         for e in internal:
             region_vertices.update(g.edges[e])
         drop_vertices |= region_vertices - on_walk
         drop_edges |= internal
-        extra_needed = max(extra_needed, order - len(walk))
     # Scale so subdivided perimeter edges land on lattice points.
     scale = 1
     for _, walk, _, order in regions:

@@ -4,13 +4,14 @@ from collections import Counter
 
 import pytest
 
-from polygrid import holes, trace_faces
+from polygrid import fixtures, holes, trace_faces
 from polygrid.holes import (CLAW, HAMILTONIAN, NO_SOLUTION, UNVERIFIED,
                             build_context, candidate_Cx, decide, find_Ck,
                             hole_contexts, is_global_hole)
 from polygrid.embedding import is_hamilton_cycle
 from polygrid.grinberg import equation_of_graph, solvable
-from polygrid.oracle import gen_grid
+from polygrid.oracle import (_polygons_to_embedding, enumerate_polyominoes,
+                             gen_grid)
 from polygrid.structure import CASE_I, CASE_II, BasisGraph, claw_d2_scan
 
 
@@ -196,6 +197,97 @@ def test_is_global_hole_false_on_grid4(grid4):
             residual = residual_of(bg, cx)
             ctx = build_context(residual, x, cx)
             assert not is_global_hole(residual, ctx)
+
+
+def _reference_peel(residual, ctx):
+    """The general peel: strip C_xe and then C_k at ctx.x until no C_k
+    remains or C_k cannot be removed, skipping any removal that is not
+    removable or would disconnect the residual."""
+    def safe_remove(bg, fid):
+        if not bg.is_removable(fid):
+            return bg, False
+        candidate = bg.remove_face(fid)
+        if not candidate.connected():
+            return bg, False
+        return candidate, True
+
+    ck, cxe = ctx.ck, ctx.cxe
+    while ck is not None:
+        for fid in cxe:
+            residual, _ = safe_remove(residual, fid)
+        residual, done = safe_remove(residual, ck)
+        if not done:
+            return residual
+        ck, cxe = find_Ck(residual, ctx.x)
+    return residual
+
+
+def _cut_squares(m, n, cut):
+    """The rings of an m x n block of unit squares: a square where
+    cut(cx, cy) is None, else two triangles split by the rising diagonal
+    where it is true and by the falling one where it is false."""
+    rings = []
+    for cx in range(m):
+        for cy in range(n):
+            a, b, c, d = (cx, cy), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1)
+            side = cut(cx, cy)
+            if side is None:
+                rings.append((a, b, c, d))
+            elif side:
+                rings += [(a, b, c), (a, c, d)]
+            else:
+                rings += [(a, b, d), (b, c, d)]
+    return rings
+
+
+def _masks(bg):
+    return bg.face_mask, bg.edge_mask, bg.w2_mask
+
+
+def test_single_ck_removal_matches_the_general_peel(monkeypatch):
+    tilings = {
+        "diagonals-one-way": _cut_squares(3, 3, lambda cx, cy: True),
+        "diagonals-alternating": _cut_squares(
+            3, 3, lambda cx, cy: (cx + cy) % 2 == 0),
+        "checkerboard": _cut_squares(
+            4, 4, lambda cx, cy: None if (cx + cy) % 2 else True),
+    }
+    graphs = ([fixtures.grid4(), gen_grid(5, 6),
+               gen_grid(5, 6, [(1, 1), (1, 2), (2, 1)])]
+              + list(enumerate_polyominoes(6))
+              + [make() for make in fixtures.ALL.values()]
+              + [_polygons_to_embedding(rings, name)
+                 for name, rings in tilings.items()])
+    handed = []
+    real_equation = holes.equation_of_graph
+
+    def capturing(residual):
+        handed.append(residual)
+        return real_equation(residual)
+
+    monkeypatch.setattr(holes, "equation_of_graph", capturing)
+    real_test = holes.is_global_hole
+    seen = Counter()
+
+    def checked(residual, ctx):
+        handed.clear()
+        hole = real_test(residual, ctx)
+        assert ctx.cxe == ()
+        if ctx.ck is not None:
+            assert find_Ck(residual.remove_face(ctx.ck), ctx.x) == (None, ())
+            if not residual.connected():
+                seen["ck on a disconnected residual"] += 1
+        peeled = _reference_peel(residual, ctx)
+        assert [_masks(r) for r in handed] == [_masks(peeled)]
+        assert hole == (not solvable(real_equation(peeled)))
+        return hole
+
+    monkeypatch.setattr(holes, "is_global_hole", checked)
+    for g in graphs:
+        for _ in hole_contexts(g, BasisGraph(g, trace_faces(g)), 3):
+            seen["contexts"] += 1
+    assert seen["contexts"] > 10000
+    assert seen["ck on a disconnected residual"] >= 14
 
 
 def test_hole_contexts_calls_each_step_once_per_context(monkeypatch):

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from polygrid import trace_faces
 from polygrid.embedding import components
-from polygrid.oracle import gen_grid
+from polygrid.oracle import cells_to_embedding, gen_grid
 from polygrid.structure import BasisGraph
-from polygrid.subbases import (SubbasisRecord, _articulation_faces,
+from polygrid.subbases import (SubbasisDecomposition, SubbasisRecord,
+                               _articulation_faces, _face_adjacency,
                                _merge_overlapping, boundary_element_set,
                                check_prop_6_1, decompose, reduce_to_Gg)
 
@@ -246,3 +247,82 @@ def test_articulation_faces_on_a_path_past_the_recursion_limit():
     n = 5000
     adj = {i: {j for j in (i - 1, i + 1) if 0 <= j < n} for i in range(n)}
     assert _articulation_faces(adj) == set(range(1, n - 1))
+
+
+def _reference_boundary_elements(bg):
+    """Faces with a weight-1 edge or a boundary vertex, classifying every
+    vertex of the graph."""
+    w1 = bg.boundary_edge_ids()
+    classes = {v: bg.vertex_class(v).tag for v in bg.vertices()}
+    return frozenset(fid for fid in bg.face_ids
+                     if bg.face(fid).edges & w1
+                     or any(classes[v] == "boundary"
+                            for v in bg.face(fid).vertices))
+
+
+def _reference_decompose(g):
+    """decompose with a shrink that reclassifies the whole sub-basis of
+    each trial face set."""
+    basis = trace_faces(g)
+    bg = BasisGraph(g, basis)
+    belems = _reference_boundary_elements(bg)
+    interior_all = [fid for fid in bg.face_ids if fid not in belems]
+    records, used_boundary = [], set()
+    for comp in components(_face_adjacency(bg, interior_all)):
+        minimal = sorted(belems)
+        for fid in sorted(belems, reverse=True):
+            trial = [f for f in minimal if f != fid]
+            local = BasisGraph(g, basis, tuple(trial) + tuple(comp))
+            if not set(comp) & _reference_boundary_elements(local):
+                minimal = trial
+        records.append(SubbasisRecord(interior=comp, boundary=tuple(minimal)))
+        used_boundary |= set(minimal)
+    records = _merge_overlapping(records)
+    leftover = sorted(belems - used_boundary)
+    adj = _face_adjacency(bg, leftover)
+    coset = sorted(_articulation_faces(adj))
+    free = {fid: ns - set(coset) for fid, ns in adj.items()
+            if fid not in coset}
+    for comp in components(free):
+        records.append(SubbasisRecord(interior=(), boundary=comp))
+    records.sort(key=_key)
+    return SubbasisDecomposition(
+        records=tuple(records), coset=tuple(coset),
+        boundary_element_faces=tuple(sorted(belems)))
+
+
+@st.composite
+def grown_cells(draw):
+    """A connected cell set of 9-24 cells, grown one cell at a time either
+    off the last cell added, which draws tails, or anywhere on the
+    frontier, which fills blocks."""
+    cells = [(0, 0)]
+
+    def frontier(around):
+        return sorted({(cx + dx, cy + dy) for cx, cy in around
+                       for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))}
+                      - set(cells))
+
+    for _ in range(draw(st.integers(8, 23))):
+        tail = draw(st.booleans()) and frontier(cells[-1:])
+        cells.append(draw(st.sampled_from(tail or frontier(cells))))
+    return cells
+
+
+@given(grown_cells())
+@settings(max_examples=200, deadline=None)
+def test_decompose_matches_whole_graph_shrink(cells):
+    g = cells_to_embedding(cells, "grown")
+    assert decompose(g) == _reference_decompose(g)
+
+
+def test_decompose_shrink_drops_a_tail():
+    # A 3x3 block with a 5-cell tail: the tail's faces do not bound the
+    # block's centre face, so the shrink drops them from its record.
+    cells = ([(x, y) for x in range(3) for y in range(3)]
+             + [(x, 1) for x in range(3, 8)])
+    g = cells_to_embedding(cells, "block-tail")
+    dec = decompose(g)
+    assert dec == _reference_decompose(g)
+    assert SubbasisRecord(interior=(4,),
+                          boundary=(0, 1, 2, 3, 5, 6, 7, 8)) in dec.records
