@@ -36,24 +36,17 @@ def segments_cross(a, b, c, d) -> bool:
     """
     shared = {a, b} & {c, d}
     if shared:
-        # Touching at one shared endpoint is fine; any other containment
-        # (e.g. overlap, or the far endpoint on the other segment) is not.
+        # Touching at one shared endpoint is fine; sharing both is not.
         if len(shared) == 2:
             return True
         (p,) = shared
         seg1 = next(q for q in (a, b) if q != p)
         seg2 = next(q for q in (c, d) if q != p)
-        # Collinear overlapping edges running out of the shared endpoint.
-        if cross(p, seg1, seg2) == 0:
-            dot = (seg1[0] - p[0]) * (seg2[0] - p[0]) + (seg1[1] - p[1]) * (
-                seg2[1] - p[1]
-            )
-            if dot > 0:
-                return True
-        # The far endpoint of one segment sitting on the other.
-        if on_segment(seg1, c, d) or on_segment(seg2, a, b):
-            return True
-        return False
+        # Only collinear edges running out of p the same way overlap; a far
+        # endpoint lying on the other edge is such an overlap.
+        return cross(p, seg1, seg2) == 0 and (
+            (seg1[0] - p[0]) * (seg2[0] - p[0])
+            + (seg1[1] - p[1]) * (seg2[1] - p[1]) > 0)
     d1 = cross(c, d, a)
     d2 = cross(c, d, b)
     d3 = cross(a, b, c)

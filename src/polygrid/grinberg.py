@@ -138,26 +138,22 @@ def solve(eq: GrinbergEquation, limit: int = 64) -> List[GrinbergPartition]:
     everything = frozenset(eq.face_ids)
     out: List[GrinbergPartition] = []
 
-    def emit(chosen: List[int]) -> None:
-        inside = frozenset(eq.face_ids[k] for k in chosen)
-        out.append(GrinbergPartition(inside, everything - inside))
-
-    def dfs(j: int, remaining: int, chosen: List[int]) -> None:
-        if len(out) >= limit:
-            return
+    # Depth-first on an explicit stack, so a long equation cannot exhaust
+    # the recursion limit; taking values[j] is pushed last, so it is
+    # explored before skipping it and the order stays lexicographic.
+    stack = [(0, target, ())]
+    while stack and len(out) < limit:
+        j, remaining, chosen = stack.pop()
         if remaining == 0:
-            emit(chosen)
-            return
+            inside = frozenset(eq.face_ids[k] for k in chosen)
+            out.append(GrinbergPartition(inside, everything - inside))
+            continue
         if j == n or not reach[j] >> remaining & 1:
-            return
+            continue
+        stack.append((j + 1, remaining, chosen))
         rest = remaining - values[j]
         if rest >= 0 and reach[j + 1] >> rest & 1:
-            chosen.append(j)
-            dfs(j + 1, rest, chosen)
-            chosen.pop()
-        dfs(j + 1, remaining, chosen)
-
-    dfs(0, target, [])
+            stack.append((j + 1, rest, chosen + (j,)))
     return out
 
 

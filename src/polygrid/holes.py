@@ -137,10 +137,13 @@ def is_global_hole(residual: BasisGraph, ctx: HoleContext) -> bool:
 
     One removal is the whole peel.  `_cx_walk` yields only residuals in
     which x is a degree-4 boundary vertex, so the surviving faces at x
-    form one arc of three faces across its four edges.  A C_k has no
-    weight-1 edge, so only the middle face of the arc can be C_k; both
-    other faces share an edge with it, so C_xe is empty.  Once C_k is
-    gone, both faces left at x have a weight-1 edge there, so there is no
+    form one arc: k faces across k + 1 of its edges, each end face with a
+    weight-1 edge at x, and a weight-0 bridge, which the root keeps, on
+    each of the other 3 - k edges.  A C_k has no weight-1 edge, so only
+    the middle face of a three-face arc can be C_k; at a bridge the arc
+    has at most two faces, each an end, and there is none.  Both other
+    faces share an edge with C_k, so C_xe is empty.  Once C_k is gone,
+    both faces left at x have a weight-1 edge there, so there is no
     second C_k.  A peel step never leaves a disconnected residual, and
     removing C_k deletes no edge, so C_k is removed exactly when the
     residual is already connected.

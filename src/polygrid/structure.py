@@ -23,10 +23,6 @@ class NonTilingBasisError(ValueError):
     """An edge belongs to more than two basis faces."""
 
 
-class NotRemovableError(ValueError):
-    """Removal was asked for a face whose removal isolates a vertex."""
-
-
 @dataclass(frozen=True)
 class VertexClass:
     tag: str                       # "boundary" | "interior" | "other"
@@ -51,8 +47,10 @@ class BasisGraph:
     have weight 1, or 0 for a bridge.  Built with no face set, every face
     and every edge survives, bridges included; built with a face set, only
     those faces and their edges survive.  Removing a face deletes only its
-    weight-1 edges, since another face still uses the others, and may
-    isolate no vertex, so the child keeps its parent's order.
+    weight-1 edges, since another face still uses the others, and any
+    vertex left with no edge, so on a face-set graph it gives the graph of
+    the remaining faces.  A face is removable when its removal keeps the
+    order.
     """
 
     def __init__(self, g: PlanarEmbedding, basis: FaceBasis,
@@ -154,33 +152,35 @@ class BasisGraph:
 
     # -- removal -------------------------------------------------------------
 
-    def _isolates(self, fid: int) -> bool:
-        """Whether deleting the face's weight-1 edges isolates a vertex."""
+    def _isolated_by(self, fid: int) -> int:
+        """How many vertices deleting the face's weight-1 edges leaves with
+        no edge."""
         doomed = self.basis.edge_masks[fid] & ~self.w2_mask
         if not doomed:
-            return False
+            return 0
         kept = self.edge_mask & ~doomed
         incident = self.g.incident_edge_masks
-        for v in self.face(fid).cycle:
+        count = 0
+        for v in self.face(fid).vertices:
             if not incident[v] & kept:
-                return True
-        return False
+                count += 1
+        return count
 
     def is_removable(self, fid: int) -> bool:
         """A surviving face is removable when deleting its weight-1 edges
         isolates no vertex (graph order unchanged)."""
-        return bool(self.face_mask >> fid & 1) and not self._isolates(fid)
+        return bool(self.face_mask >> fid & 1) and not self._isolated_by(fid)
 
     def remove_face(self, fid: int) -> "BasisGraph":
+        """The graph without the face, its weight-1 edges and the vertices
+        they alone reached."""
         if not self.face_mask >> fid & 1:
             raise ValueError(f"face {fid} is not in the surviving basis")
-        if self._isolates(fid):
-            raise NotRemovableError(
-                f"face {fid} is not removable (a vertex would be isolated)")
         mask = self.basis.edge_masks[fid]
         k = bisect_left(self.face_ids, fid)
         child = object.__new__(BasisGraph)
-        child.g, child.basis, child.order = self.g, self.basis, self.order
+        child.g, child.basis = self.g, self.basis
+        child.order = self.order - self._isolated_by(fid)
         child.face_ids = self.face_ids[:k] + self.face_ids[k + 1:]
         child.lengths = self.lengths[:k] + self.lengths[k + 1:]
         child.face_mask = self.face_mask & ~(1 << fid)

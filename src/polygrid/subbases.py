@@ -85,12 +85,11 @@ def _face_adjacency(bg: BasisGraph,
             for fid in fids}
 
 
-def _bounds(bg: BasisGraph, faces: Sequence[int], comp_edges: int,
+def _bounds(local: BasisGraph, comp_edges: int,
             comp_vertices: Sequence[int]) -> bool:
-    """True when, within the sub-basis of the given faces, no face of the
-    component is a boundary element: none of the component's edges has
-    weight 1 and none of its vertices is a boundary vertex."""
-    local = BasisGraph(bg.g, bg.basis, faces)
+    """True when, within the sub-basis `local`, no face of the component
+    is a boundary element: none of the component's edges has weight 1 and
+    none of its vertices is a boundary vertex."""
     return not (comp_edges & ~local.w2_mask
                 or any(local.vertex_class(v).tag == "boundary"
                        for v in comp_vertices))
@@ -108,13 +107,14 @@ def decompose(g: PlanarEmbedding,
     for comp in components(_face_adjacency(bg, interior_all)):
         own = BasisGraph(g, basis, comp)
         comp_edges, comp_vertices = own.edge_mask, own.vertices()
-        # Greedy shrinking: drop boundary faces in descending index while
-        # the remainder still bounds the component.
-        minimal = sorted(belems)
+        # Greedy shrinking: remove boundary faces in descending index while
+        # the remaining sub-basis still bounds the component.
+        local = BasisGraph(g, basis, sorted(belems) + list(comp))
         for fid in sorted(belems, reverse=True):
-            trial = [f for f in minimal if f != fid]
-            if _bounds(bg, trial + list(comp), comp_edges, comp_vertices):
-                minimal = trial
+            trial = local.remove_face(fid)
+            if _bounds(trial, comp_edges, comp_vertices):
+                local = trial
+        minimal = [fid for fid in local.face_ids if fid in belems]
         records.append(SubbasisRecord(interior=comp,
                                       boundary=tuple(minimal)))
         used_boundary |= set(minimal)

@@ -137,6 +137,11 @@ def test_oracle_too_deep_exit_3(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_decide_long_strip_exit_0(pgg, capsys):
+    # Solving the strip's 1099-face equation does not recurse per face.
+    assert run(capsys, "decide", pgg(gen_grid(2, 1100)))[0] == 0
+
+
 def test_gen_roundtrips_through_decide(tmp_path, capsys):
     code, out, _ = run(capsys, "gen", "grid", "4", "4")
     assert code == 0

@@ -92,6 +92,13 @@ def test_solve_lexicographic_and_limit(grid4):
         solve(eq, limit=0)
 
 
+def test_solve_long_equation_without_recursion():
+    # 1101 face values, well past the default recursion limit; only the
+    # triangle reaches the target of 1.
+    eq = GrinbergEquation.from_lengths([4] * 1100 + [3], 3)
+    assert [p.inside for p in solve(eq)] == [frozenset({1100})]
+
+
 def test_solve_matches_bruteforce():
     eq = GrinbergEquation.from_lengths((5, 4, 4, 3, 6, 3, 4), 12)
     got = {tuple(sorted(p.inside)) for p in solve(eq, limit=1 << 10)}

@@ -244,7 +244,8 @@ def _masks(bg):
     return bg.face_mask, bg.edge_mask, bg.w2_mask
 
 
-def test_single_ck_removal_matches_the_general_peel(monkeypatch):
+def test_single_ck_removal_matches_the_general_peel(monkeypatch,
+                                                    bridged_blocks):
     tilings = {
         "diagonals-one-way": _cut_squares(3, 3, lambda cx, cy: True),
         "diagonals-alternating": _cut_squares(
@@ -257,7 +258,8 @@ def test_single_ck_removal_matches_the_general_peel(monkeypatch):
               + list(enumerate_polyominoes(6))
               + [make() for make in fixtures.ALL.values()]
               + [_polygons_to_embedding(rings, name)
-                 for name, rings in tilings.items()])
+                 for name, rings in tilings.items()]
+              + [bridged_blocks])
     handed = []
     real_equation = holes.equation_of_graph
 
@@ -273,6 +275,11 @@ def test_single_ck_removal_matches_the_general_peel(monkeypatch):
         handed.clear()
         hole = real_test(residual, ctx)
         assert ctx.cxe == ()
+        if len(residual.faces_on_vertex(ctx.x)) == 2:
+            # x carries a bridge the root keeps, so two faces meet there,
+            # each with a weight-1 edge at x: neither can be C_k.
+            seen["two faces at x"] += 1
+            assert ctx.ck is None
         if ctx.ck is not None:
             assert find_Ck(residual.remove_face(ctx.ck), ctx.x) == (None, ())
             if not residual.connected():
@@ -288,6 +295,7 @@ def test_single_ck_removal_matches_the_general_peel(monkeypatch):
             seen["contexts"] += 1
     assert seen["contexts"] > 10000
     assert seen["ck on a disconnected residual"] >= 14
+    assert seen["two faces at x"] > 0
 
 
 def test_hole_contexts_calls_each_step_once_per_context(monkeypatch):
@@ -343,6 +351,15 @@ def test_decide_grid4(grid4):
     v = decide(grid4)
     assert v.tag == HAMILTONIAN
     assert is_hamilton_cycle(v.certificate, grid4)
+
+
+def test_decide_long_strip():
+    # The 2 x 1100 strip's equation has 1099 faces, past the default
+    # recursion limit; the partition search runs on its own stack.
+    g = gen_grid(2, 1100)
+    v = decide(g)
+    assert v.tag == HAMILTONIAN
+    assert is_hamilton_cycle(v.certificate, g)
 
 
 def test_decide_claw_modes(domino, fig8, grid4):

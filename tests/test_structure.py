@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from polygrid import trace_faces
+from polygrid import fixtures, trace_faces
 from polygrid.embedding import FaceBasis, reach
 from polygrid.grinberg import GrinbergEquation, equation_of_graph
 from polygrid.oracle import enumerate_polyominoes, gen_grid
 from polygrid.structure import (CASE_I, CASE_II, BasisGraph,
-                                NonTilingBasisError, NotRemovableError,
-                                VertexClass, claw_d2_scan)
+                                NonTilingBasisError, VertexClass,
+                                claw_d2_scan)
 
 
 def vertex_at(g, xy):
@@ -174,8 +174,42 @@ def test_not_removable_grid3_corner(grid3):
 def test_not_removable_square(square):
     bg = root(square)
     assert not bg.is_removable(0)
-    with pytest.raises(NotRemovableError):
-        bg.remove_face(0)
+    empty = bg.remove_face(0)
+    assert (empty.order, empty.face_ids, empty.edge_mask) == (0, (), 0)
+    assert empty.vertices() == [] and empty.weights == {}
+
+
+def _face_set_state(bg):
+    return (bg.face_ids, bg.lengths, bg.face_mask, bg.edge_mask, bg.w2_mask,
+            bg.order, bg.vertices())
+
+
+def test_remove_face_matches_face_set_construction(bridged_blocks):
+    # A removal drops the face, the edges only it carried and the vertices
+    # they alone reached, so it gives the graph of the remaining faces;
+    # the face was removable exactly when the order did not change.
+    rng = random.Random(3)
+    graphs = ([gen_grid(5, 6, [(1, 1), (2, 1)]),
+               gen_grid(6, 6, [(1, 1), (3, 3)]), bridged_blocks]
+              + [make() for make in fixtures.ALL.values()]
+              + list(enumerate_polyominoes(6)))
+    removals = isolating = 0
+    for g in graphs:
+        basis = trace_faces(g)
+        for _ in range(3):
+            faces = [fid for fid in range(len(basis.faces))
+                     if rng.random() < 0.7]
+            bg = BasisGraph(g, basis, faces)
+            while faces:
+                fid = faces.pop(rng.randrange(len(faces)))
+                child = bg.remove_face(fid)
+                assert (_face_set_state(child)
+                        == _face_set_state(BasisGraph(g, basis, faces)))
+                assert bg.is_removable(fid) == (child.order == bg.order)
+                removals += 1
+                isolating += child.order < bg.order
+                bg = child
+    assert removals > isolating > 1000
 
 
 def test_removal_recount_equivalence(grid4):
@@ -267,7 +301,10 @@ class DictModel:
         for face in basis.faces:
             for eid in face.edges:
                 self.weights[eid] += 1
-        self.order = len(self.vertices())
+
+    @property
+    def order(self):
+        return len(self.vertices())
 
     def vertices(self):
         return sorted({v for eid in self.weights for v in self.g.edges[eid]})
@@ -342,6 +379,7 @@ def test_mask_state_matches_weight_map_model(grid4, bridged_blocks):
     graphs = [(grid4, 12), (gen_grid(4, 5), 12),
               (gen_grid(5, 6, [(1, 1), (2, 1)]), 12), (bridged_blocks, 12)]
     graphs += [(g, 2) for g in enumerate_polyominoes(6)]
+    isolating = 0
     for g, chains in graphs:
         basis = trace_faces(g)
         bridges = [eid for eid in range(g.size)
@@ -350,11 +388,17 @@ def test_mask_state_matches_weight_map_model(grid4, bridged_blocks):
             bg, model = BasisGraph(g, basis), DictModel(g, basis)
             _assert_matches_model(bg, model)
             for _ in range(rng.randint(1, 5)):
-                removable = [f for f in bg.face_ids if bg.is_removable(f)]
-                if not removable:
+                if not bg.face_ids:
                     break
-                fid = rng.choice(removable)
+                # Half the steps may leave a vertex with no edge.
+                faces = bg.face_ids
+                if rng.random() < 0.5:
+                    faces = [f for f in faces if bg.is_removable(f)] or faces
+                fid = rng.choice(faces)
+                order = bg.order
                 bg = bg.remove_face(fid)
                 model.remove(fid)
+                isolating += bg.order < order
                 _assert_matches_model(bg, model)
                 assert all(bg.weights[eid] == 0 for eid in bridges)
+    assert isolating > 100
