@@ -5,14 +5,24 @@ degree-2 vertices, reachability pruning) with a node budget so results are
 reproducible across machines.  Its state is Python-int bitsets: bit i is
 the i-th smallest vertex id, adjacency and forced partners are one mask per
 vertex, and the unvisited set is one mask, so a step builds no list or set.
-Each step from p to w is pruned unless every unvisited vertex is reached by
-a frontier flood from w over the unvisited vertices and the start, and
-keeps two usable sides (unvisited neighbours, w or the start).  The side
-check is incremental: the step takes only p out of the usable set, so only
-p's unvisited neighbours are rechecked.  Candidates are tried in ascending
-id order (forced partners first), which fixes the search tree and so
-`nodes_explored`.  The search recurses once per path vertex, so a graph of
-about `sys.getrecursionlimit()` vertices raises `RecursionError`.
+A step from the current vertex to w is pruned unless every other unvisited
+vertex keeps two usable sides (unvisited neighbours, w or the start) and
+the unvisited vertices and the start stay connected.  Neither test depends
+on w, so each search node runs each at most once.  The side check is
+incremental: only the current vertex's unvisited neighbours can have lost
+a side, and a step must go to the one that is left with fewer than two.
+The connectivity test runs only when a step survives the side check, and
+asks whether the last step cut anything: the parent tested the set
+together with the current vertex, so the set is connected exactly when the
+current vertex's neighbours in it are joined inside it.  With one such
+neighbour there is no flood; otherwise a flood from one neighbour stops as
+soon as it reaches the others, which usually takes two steps around a
+lattice cell, and goes on over the whole set only when they are not
+joined there.  Candidates are tried in ascending id order (forced partners
+first), which fixes the search tree and so `nodes_explored`; testing once
+per node prunes exactly the steps that testing each step would.  The
+search recurses once per path vertex, so a graph of about
+`sys.getrecursionlimit()` vertices raises `RecursionError`.
 
 Generators build holed grid graphs and all fixed polyominoes up to a size;
 `compare` runs the criterion and the oracle side by side and persists any
@@ -119,39 +129,21 @@ def hamilton_oracle(g: PlanarEmbedding, budget: int = 10 ** 6) -> OracleResult:
     nodes = 0
     path = [0]
 
-    def reachable_ok(p: int, w: int, unvisited: int) -> bool:
-        # After the step p -> w, every unvisited vertex must be reachable
-        # from w without re-entering the path, and must keep two usable
-        # sides: neighbours that are unvisited, w or the start.
-        if not unvisited:
-            return True
-        todo = unvisited | 1
-        usable = todo | 1 << w
-        # The step took p out of the usable set unless p is the start
-        # (bit 0), and the parent's unvisited vertices all had two usable
-        # sides, so only p's unvisited neighbours can have dropped below
-        # two.  At the root every vertex has degree >= 2.
-        if p:
-            around = adj[p] & unvisited
-            while around:
-                low = around & -around
-                around ^= low
-                if (adj[low.bit_length() - 1] & usable).bit_count() < 2:
-                    return False
-        # Flood from w over the usable set; it must reach `todo`.
-        frontier = 1 << w
-        while True:
-            reach = 0
+    def joined(targets: int, within: int) -> bool:
+        # Flood over `within` from the lowest bit of `targets`, stopping as
+        # soon as every target is reached.
+        reached = frontier = targets & -targets
+        while targets & ~reached:
+            grow = 0
             while frontier:
                 low = frontier & -frontier
-                reach |= adj[low.bit_length() - 1]
+                grow |= adj[low.bit_length() - 1]
                 frontier ^= low
-            frontier = reach & todo
+            frontier = grow & within & ~reached
             if not frontier:
                 return False
-            todo ^= frontier
-            if not todo:
-                return True
+            reached |= frontier
+        return True
 
     def extend(current: int, unvisited: int) -> bool:
         nonlocal nodes
@@ -161,16 +153,42 @@ def hamilton_oracle(g: PlanarEmbedding, budget: int = 10 ** 6) -> OracleResult:
         if not unvisited:
             return bool(adj[current] & 1)
         candidates = forced[current] & unvisited or adj[current] & unvisited
+        usable = unvisited | 1
+        # After the step to w every unvisited vertex other than w needs two
+        # usable sides: neighbours that are unvisited, w or the start.  The
+        # parent's unvisited vertices all had two (at the root every vertex
+        # has degree >= 2), and this node took only `current` out of the
+        # usable set, so only its neighbours can be stranded.  A step must
+        # go to the one stranded neighbour, if there is one.
+        stranded = 0
+        around = adj[current] & unvisited
+        while around:
+            low = around & -around
+            around ^= low
+            if (adj[low.bit_length() - 1] & usable).bit_count() < 2:
+                stranded |= low
+        if stranded & (stranded - 1):
+            return False
+        if stranded:
+            candidates &= stranded
+        # A step that leaves unvisited vertices must leave them and the
+        # start connected; the set does not depend on w, so it is tested
+        # once.  The parent tested that the set together with `current` is
+        # connected, so it is connected exactly when `current`'s neighbours
+        # in it are joined inside it.  The root has no parent and floods
+        # the whole graph.
+        if (candidates and unvisited & (unvisited - 1)
+                and not joined(adj[current] & usable if current else usable,
+                               usable)):
+            return False
         while candidates:
             low = candidates & -candidates
             candidates ^= low
             w = low.bit_length() - 1
-            rest = unvisited ^ low
-            if reachable_ok(current, w, rest):
-                path.append(w)
-                if extend(w, rest):
-                    return True
-                path.pop()
+            path.append(w)
+            if extend(w, unvisited ^ low):
+                return True
+            path.pop()
         return False
 
     try:

@@ -1,94 +1,15 @@
 import itertools
 import json
-from typing import Dict, List, Optional, Set
 
 import pytest
 
 from polygrid import trace_faces
 from polygrid.embedding import PlanarEmbedding, is_hamilton_cycle, parse_pgg
-from polygrid.oracle import (GridGenError, OracleResult, cells_to_embedding,
-                             compare, enumerate_polyominoes, gen_grid,
+from polygrid.oracle import (GridGenError, cells_to_embedding, compare,
+                             enumerate_polyominoes, gen_grid,
                              hamilton_oracle, report_json)
 
-
-class _Budget(Exception):
-    pass
-
-
-def set_reference_oracle(g: PlanarEmbedding,
-                         budget: int = 10 ** 6) -> OracleResult:
-    """The oracle's search on sets and lists, rechecking every unvisited
-    vertex at every node: the reference the bitset search must match node
-    for node."""
-    n = g.order
-    vertices = sorted(g.coords)
-    if n < 3 or any(g.degree(v) < 2 for v in vertices):
-        return OracleResult(None, 0, False)
-    adj = {v: sorted(g.adjacency[v]) for v in vertices}
-    forced: Dict[int, Set[int]] = {v: set() for v in vertices}
-    for v in vertices:
-        if len(adj[v]) == 2:
-            for w in adj[v]:
-                forced[v].add(w)
-                forced[w].add(v)
-    if any(len(f) > 2 for f in forced.values()):
-        return OracleResult(None, 0, False)
-    start = vertices[0]
-    nodes = 0
-
-    def reachable_ok(current: int, visited: Set[int]) -> bool:
-        unvisited = [v for v in vertices if v not in visited]
-        if not unvisited:
-            return True
-        allowed = set(unvisited) | {current, start}
-        seen = {current}
-        stack = [current]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w in allowed and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if any(v not in seen for v in unvisited) or start not in seen:
-            return False
-        for v in unvisited:
-            free = sum(1 for w in adj[v]
-                       if w not in visited or w in (current, start))
-            if free < 2:
-                return False
-        return True
-
-    def extend(current: int, visited: Set[int],
-               path: List[int]) -> Optional[List[int]]:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise _Budget
-        if len(path) == n:
-            return path if start in adj[current] else None
-        must = sorted(w for w in forced[current] if w not in visited)
-        candidates = must if must else adj[current]
-        for w in candidates:
-            if w in visited:
-                continue
-            visited.add(w)
-            path.append(w)
-            if reachable_ok(w, visited):
-                result = extend(w, visited, path)
-                if result is not None:
-                    return result
-            path.pop()
-            visited.remove(w)
-        return None
-
-    try:
-        found = extend(start, {start}, [start])
-    except _Budget:
-        return OracleResult(None, nodes, True)
-    if found is None:
-        return OracleResult(None, nodes, False)
-    return OracleResult(frozenset(
-        g.edge_id(found[i], found[(i + 1) % n]) for i in range(n)),
-        nodes, False)
+from oracle_reference import set_reference_oracle
 
 
 def relabeled(g: PlanarEmbedding, f) -> PlanarEmbedding:
@@ -166,6 +87,18 @@ def test_oracle_matches_set_reference():
     graphs += [gen_grid(m, n) for m in range(2, 7) for n in range(2, 7)
                if m * n % 2 == 0]
     graphs += [gen_grid(2, n) for n in range(2, 41)]
+    # Shapes where the current vertex is a cut vertex of the unvisited set,
+    # so a flood past its neighbours' neighbours decides the step: two 2x2
+    # blocks that meet at one corner, and holes that pinch a corridor to
+    # one cell.
+    def block(x, y):
+        return {(x + i, y + j) for i in (0, 1) for j in (0, 1)}
+
+    graphs += [cells_to_embedding(block(0, 0) | block(2, 2), "corner-blocks"),
+               cells_to_embedding(block(2, 0) | block(0, 2), "corner-blocks2")]
+    graphs += [gen_grid(5, 6, [(1, 1), (1, 3)]),
+               gen_grid(6, 6, [(1, 2), (3, 2)]),
+               gen_grid(7, 5, [(1, 1), (2, 1), (1, 2), (4, 1), (4, 2)])]
     cases = [(g, 10 ** 6) for g in graphs]
     cases += [(gen_grid(s, s), b) for s in (5, 6) for b in range(1, 61)]
     assert len(clusters) == 8

@@ -11,8 +11,11 @@ from polygrid.embedding import (PggParseError, PlanarEmbedding, sym_diff,
                                 sym_diff_all)
 from polygrid.grinberg import (GrinbergEquation, count_solutions, solvable,
                                solve)
-from polygrid.oracle import cells_to_embedding, enumerate_polyominoes
+from polygrid.oracle import (cells_to_embedding, enumerate_polyominoes,
+                             hamilton_oracle)
 from polygrid.structure import BasisGraph
+
+from oracle_reference import set_reference_oracle
 
 edge_sets = st.frozensets(st.integers(min_value=0, max_value=40),
                           max_size=12)
@@ -88,6 +91,30 @@ def test_weight_bounds_random_shapes(cells):
     assert set(bg.weights.values()) <= {1, 2}
     assert sum(bg.weights.values()) == sum(
         bg.face(fid).length for fid in bg.face_ids)
+
+
+@st.composite
+def touching_cells(draw):
+    """Up to 12 cells of a 5x5 box, each sharing a side or a corner with an
+    earlier one, so the lattice graph is connected and cells that meet at
+    one corner make a cut vertex."""
+    box = st.integers(min_value=0, max_value=4)
+    cells = [draw(st.tuples(box, box))]
+    for _ in range(draw(st.integers(min_value=0, max_value=11))):
+        near = sorted({(x + dx, y + dy) for x, y in cells
+                       for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                       if 0 <= x + dx <= 4 and 0 <= y + dy <= 4}
+                      - set(cells))
+        cells.append(draw(st.sampled_from(near)))
+    return cells
+
+
+@given(touching_cells(), st.integers(min_value=1, max_value=60))
+@settings(max_examples=150, deadline=None)
+def test_oracle_matches_set_reference_random_shapes(cells, budget):
+    g = cells_to_embedding(cells, "random")
+    assert hamilton_oracle(g) == set_reference_oracle(g)
+    assert hamilton_oracle(g, budget) == set_reference_oracle(g, budget)
 
 
 length_lists = st.lists(st.integers(min_value=3, max_value=9),
