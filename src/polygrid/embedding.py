@@ -4,6 +4,8 @@ A graph is given as a straight-line plane drawing on integer coordinates.
 The rotation system is derived from the geometry (counterclockwise angular
 order of neighbours), faces are traced by next-edge-in-rotation walking,
 and cycles are GF(2) vectors over edge ids represented as frozensets.
+Every drawing is checked for planarity except a set of unit cells, which
+`PlanarEmbedding._from_unit_cells` builds planar by construction.
 """
 
 from __future__ import annotations
@@ -41,20 +43,77 @@ class PlanarEmbedding:
         self.name = name
         self.coords = dict(coords)
         self.edges = tuple((u, v) for u, v in edges)
-        self.adjacency: Dict[int, List[int]] = self._validate()
+        self._validate()
+        self._link()
         # Rotation: neighbours in counterclockwise angular order.
         self.rotation: Dict[int, List[int]] = {
             v: self._ccw_sort(v, ns) for v, ns in self.adjacency.items()
         }
+
+    @classmethod
+    def _from_unit_cells(cls, cells: Iterable[Tuple[int, int]],
+                         name: str) -> "PlanarEmbedding":
+        """The lattice graph of a set of unit cells, built without the
+        planarity scan and the angular sort.
+
+        Vertices are the cell corners, numbered in sorted point order, and
+        edges the cell sides as ascending (i, j) pairs in sorted order.
+        Unit axis-parallel sides meet only at corners, so the drawing is
+        planar, and each rotation is the present neighbours in east,
+        north, west, south order, which is what `_ccw_sort` returns for
+        them.  The result equals `PlanarEmbedding(g.coords, g.edges)`.
+        """
+        cells = {(x, y) for x, y in cells}
+        # (x, y) is in `across` when the side to (x + 1, y) exists (a cell
+        # above or below it), and in `up` when the side to (x, y + 1) does
+        # (a cell to its right or left).
+        across = cells | {(x, y + 1) for x, y in cells}
+        up = cells | {(x + 1, y) for x, y in cells}
+        points = sorted(across | up | {(x + 1, y + 1) for x, y in cells})
+        ids = {p: i for i, p in enumerate(points)}
+        edges: List[Tuple[int, int]] = []
+        rotation: Dict[int, List[int]] = {}
+        for i, (x, y) in enumerate(points):
+            # (x, y + 1) is the next point after (x, y), and (x + 1, y)
+            # comes later still, so edges come out sorted.
+            if (x, y) in up:
+                edges.append((i, i + 1))
+            if (x, y) in across:
+                edges.append((i, ids[(x + 1, y)]))
+            rotation[i] = [ids[p] for p, present in (
+                ((x + 1, y), (x, y) in across), ((x, y + 1), (x, y) in up),
+                ((x - 1, y), (x - 1, y) in across),
+                ((x, y - 1), (x, y - 1) in up)) if present]
+        g = cls.__new__(cls)
+        g.name = name
+        g.coords = dict(enumerate(points))
+        g.edges = tuple(edges)
+        g._link()
+        g.rotation = rotation
+        return g
+
+    # -- construction helpers ------------------------------------------------
+
+    def _link(self):
+        """Set the vertex adjacency and the edge index, and reject an empty
+        or disconnected graph."""
+        if not self.coords:
+            raise PggParseError("empty graph")
+        adj: Dict[int, List[int]] = {v: [] for v in self.coords}
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        if len(reach(adj, next(iter(self.coords)))) != len(self.coords):
+            raise PggParseError("graph is disconnected")
+        self.adjacency: Dict[int, List[int]] = adj
         self.edge_index: Dict[Tuple[int, int], int] = {}
         for i, (u, v) in enumerate(self.edges):
             self.edge_index[(u, v)] = i
             self.edge_index[(v, u)] = i
 
-    # -- construction helpers ------------------------------------------------
-
-    def _validate(self) -> Dict[int, List[int]]:
-        """Check the drawing and return its vertex adjacency."""
+    def _validate(self):
+        """Check the drawing: known endpoints, no self-loop, duplicate edge
+        or shared position, and planarity."""
         seen = set()
         for u, v in self.edges:
             if u not in self.coords:
@@ -74,15 +133,6 @@ class PlanarEmbedding:
                     f"vertices {positions[p]} and {vid} share position {p}")
             positions[p] = vid
         self._check_planarity()
-        if not self.coords:
-            raise PggParseError("empty graph")
-        adj: Dict[int, List[int]] = {v: [] for v in self.coords}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        if len(reach(adj, next(iter(self.coords)))) != len(self.coords):
-            raise PggParseError("graph is disconnected")
-        return adj
 
     def _check_planarity(self):
         """Reject crossing edges and vertices on foreign edges.

@@ -1,14 +1,32 @@
 """Shared desk-scale fixtures.
 
-Built on demand so parse/trace validation runs on every construction.
+Built on demand, so each test gets a fresh embedding.  The lattice
+fixtures come from unit cells, planar by construction, and skip the
+planarity scan; `twin_nonagons` is drawn from polygon rings and is
+validated in full.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from .embedding import PlanarEmbedding
-from .oracle import _polygons_to_embedding, cells_to_embedding
+from .oracle import cells_to_embedding
+
+
+def _polygons_to_embedding(rings: List[Sequence[Tuple[int, int]]],
+                           name: str) -> PlanarEmbedding:
+    """Straight-line drawing of polygon rings: vertices are the corners,
+    numbered in sorted point order, and edges the ring sides (shared sides
+    deduplicated).  Validated in full, planarity included."""
+    points = sorted({p for ring in rings for p in ring})
+    ids = {p: i for i, p in enumerate(points)}
+    sides: Set[Tuple[int, int]] = set()
+    for ring in rings:
+        for i, p in enumerate(ring):
+            a, b = ids[ring[i - 1]], ids[p]
+            sides.add((min(a, b), max(a, b)))
+    return PlanarEmbedding(dict(enumerate(points)), sorted(sides), name=name)
 
 
 def _lattice_cells(m: int, n: int) -> List[Tuple[int, int]]:

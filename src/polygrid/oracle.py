@@ -24,9 +24,12 @@ per node prunes exactly the steps that testing each step would.  The
 search recurses once per path vertex, so a graph of about
 `sys.getrecursionlimit()` vertices raises `RecursionError`.
 
-Generators build holed grid graphs and all fixed polyominoes up to a size;
-`compare` runs the criterion and the oracle side by side and persists any
-disagreement as a `.pgg` candidate file.
+Generators build holed grid graphs and all fixed polyominoes up to a size.
+Both are sets of unit cells, planar by construction, so they take the
+embedding's trusted lattice path, with no planarity scan and no angular
+sort; `.pgg` input is still validated in full.  `compare` runs the
+criterion and the oracle side by side and persists any disagreement as a
+`.pgg` candidate file.
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .embedding import (EdgeSet, PlanarEmbedding, is_hamilton_cycle,
                         trace_faces, write_pgg)
@@ -206,28 +208,12 @@ def hamilton_oracle(g: PlanarEmbedding, budget: int = 10 ** 6) -> OracleResult:
 
 # -- generators --------------------------------------------------------------
 
-def _polygons_to_embedding(rings: List[Sequence[Tuple[int, int]]],
-                           name: str) -> PlanarEmbedding:
-    """Straight-line drawing of polygon rings: vertices are the corners,
-    numbered in sorted point order, and edges the ring sides (shared sides
-    deduplicated)."""
-    points = sorted({p for ring in rings for p in ring})
-    ids = {p: i for i, p in enumerate(points)}
-    sides: Set[Tuple[int, int]] = set()
-    for ring in rings:
-        for i, p in enumerate(ring):
-            a, b = ids[ring[i - 1]], ids[p]
-            sides.add((min(a, b), max(a, b)))
-    return PlanarEmbedding(dict(enumerate(points)), sorted(sides), name=name)
-
-
 def cells_to_embedding(cells: Iterable[Tuple[int, int]],
                        name: str) -> PlanarEmbedding:
     """Lattice graph carried by a set of unit cells: vertices are the cell
-    corners, edges the cell sides (shared sides deduplicated)."""
-    return _polygons_to_embedding(
-        [((cx, cy), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1))
-         for cx, cy in cells], name)
+    corners, edges the cell sides (shared sides deduplicated).  Built on
+    the trusted path, without the planarity scan."""
+    return PlanarEmbedding._from_unit_cells(cells, name)
 
 
 def gen_grid(m: int, n: int,

@@ -10,8 +10,8 @@ from polygrid.holes import (CLAW, HAMILTONIAN, NO_SOLUTION, UNVERIFIED,
                             hole_contexts, is_global_hole)
 from polygrid.embedding import is_hamilton_cycle
 from polygrid.grinberg import equation_of_graph, solvable
-from polygrid.oracle import (_polygons_to_embedding, enumerate_polyominoes,
-                             gen_grid)
+from polygrid.fixtures import _polygons_to_embedding
+from polygrid.oracle import enumerate_polyominoes, gen_grid
 from polygrid.structure import CASE_I, CASE_II, BasisGraph, claw_d2_scan
 
 

@@ -4,7 +4,8 @@ import json
 import pytest
 
 from polygrid import trace_faces
-from polygrid.embedding import PlanarEmbedding, is_hamilton_cycle, parse_pgg
+from polygrid.embedding import (PlanarEmbedding, components, is_hamilton_cycle,
+                                parse_pgg)
 from polygrid.oracle import (GridGenError, cells_to_embedding, compare,
                              enumerate_polyominoes, gen_grid,
                              hamilton_oracle, report_json)
@@ -153,14 +154,38 @@ def test_gen_grid_rejects_bad_requests():
         gen_grid(4, 4, holes={(0, 1)})       # touches the rim
     with pytest.raises(GridGenError):
         gen_grid(4, 4, holes={(3, 1)})       # outside the interior band
+    # Every interior cell of 6x6 but the centre: the centre cell is cut off.
+    ring = {(x, y) for x in (1, 2, 3) for y in (1, 2, 3)} - {(2, 2)}
+    with pytest.raises(GridGenError, match="^graph is disconnected$"):
+        gen_grid(6, 6, holes=ring)
+
+
+def test_cells_to_embedding_rejects_empty_and_apart():
+    with pytest.raises(ValueError, match="^empty graph$"):
+        cells_to_embedding([], "none")
+    # Neither a side nor a corner in common.
+    with pytest.raises(ValueError, match="^graph is disconnected$"):
+        cells_to_embedding({(0, 0), (2, 0)}, "apart")
+
+
+def test_cells_meeting_at_a_corner_make_one_graph(fig8):
+    assert fig8.order == 7
+    assert fig8.size == 8
+    assert components(fig8.adjacency) == [tuple(range(7))]
+    cut = next(v for v, p in fig8.coords.items() if p == (1, 1))
+    assert fig8.rotation[cut] == [
+        next(v for v, p in fig8.coords.items() if p == q)
+        for q in ((2, 1), (1, 2), (0, 1), (1, 0))]
 
 
 def test_polyomino_counts():
+    # OEIS A001168, fixed polyominoes by cell count.
     per_size = {}
-    for g in enumerate_polyominoes(6):
+    for g in enumerate_polyominoes(8):
         k = int(g.name[4:].split("_")[0])
         per_size[k] = per_size.get(k, 0) + 1
-    assert per_size == {1: 1, 2: 2, 3: 6, 4: 19, 5: 63, 6: 216}
+    assert per_size == {1: 1, 2: 2, 3: 6, 4: 19, 5: 63, 6: 216, 7: 760,
+                        8: 2725}
 
 
 def test_polyomino_names_deterministic():

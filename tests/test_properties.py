@@ -12,7 +12,7 @@ from polygrid.embedding import (PggParseError, PlanarEmbedding, sym_diff,
 from polygrid.grinberg import (GrinbergEquation, count_solutions, solvable,
                                solve)
 from polygrid.oracle import (cells_to_embedding, enumerate_polyominoes,
-                             hamilton_oracle)
+                             gen_grid, hamilton_oracle)
 from polygrid.structure import BasisGraph
 
 from oracle_reference import set_reference_oracle
@@ -45,54 +45,6 @@ def test_sym_diff_all_matches_fold(sets):
     assert sym_diff_all(sets) == folded
 
 
-cell_lists = st.lists(
-    st.tuples(st.integers(min_value=0, max_value=4),
-              st.integers(min_value=0, max_value=4)),
-    min_size=1, max_size=8, unique=True)
-
-
-def _connected(cells):
-    cells = set(cells)
-    start = next(iter(cells))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x, y = stack.pop()
-        for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if nb in cells and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(cells)
-
-
-@given(cell_lists)
-@settings(max_examples=60)
-def test_face_count_invariant_random_shapes(cells):
-    if not _connected(cells):
-        return
-    try:
-        g = cells_to_embedding(cells, "random")
-    except ValueError:
-        return      # corner-touching shapes are rejected as non-planar input
-    basis = trace_faces(g)
-    assert len(basis.faces) == g.size - g.order + 1
-
-
-@given(cell_lists)
-@settings(max_examples=40)
-def test_weight_bounds_random_shapes(cells):
-    if not _connected(cells):
-        return
-    try:
-        g = cells_to_embedding(cells, "random")
-    except ValueError:
-        return
-    bg = BasisGraph(g, trace_faces(g))
-    assert set(bg.weights.values()) <= {1, 2}
-    assert sum(bg.weights.values()) == sum(
-        bg.face(fid).length for fid in bg.face_ids)
-
-
 @st.composite
 def touching_cells(draw):
     """Up to 12 cells of a 5x5 box, each sharing a side or a corner with an
@@ -107,6 +59,64 @@ def touching_cells(draw):
                       - set(cells))
         cells.append(draw(st.sampled_from(near)))
     return cells
+
+
+@given(touching_cells())
+@settings(max_examples=60)
+def test_face_count_invariant_random_shapes(cells):
+    g = cells_to_embedding(cells, "random")
+    basis = trace_faces(g)
+    assert len(basis.faces) == g.size - g.order + 1
+
+
+@given(touching_cells())
+@settings(max_examples=40)
+def test_weight_bounds_random_shapes(cells):
+    g = cells_to_embedding(cells, "random")
+    bg = BasisGraph(g, trace_faces(g))
+    assert set(bg.weights.values()) <= {1, 2}
+    assert sum(bg.weights.values()) == sum(
+        bg.face(fid).length for fid in bg.face_ids)
+
+
+def assert_matches_validated(g):
+    """g equals the fully validated embedding of its own drawing, dict
+    and list order included."""
+    ref = PlanarEmbedding(g.coords, g.edges, g.name)
+    assert g.name == ref.name
+    assert g.edges == ref.edges
+    for attr in ("coords", "adjacency", "rotation", "edge_index"):
+        got, want = getattr(g, attr), getattr(ref, attr)
+        assert list(got.items()) == list(want.items()), (g.name, attr)
+
+
+@given(touching_cells())
+@settings(max_examples=200)
+def test_unit_cell_path_matches_validated_random_shapes(cells):
+    assert_matches_validated(cells_to_embedding(cells, "random"))
+
+
+def test_unit_cell_path_matches_validated():
+    # Every polyomino of <=8 cells, the decide-grid rectangles, holed
+    # grids, a 2x520 strip, and 2x2 blocks joined at a corner, where the
+    # corner point exists but no side runs through it.
+    def block(x, y):
+        return {(x + i, y + j) for i in (0, 1) for j in (0, 1)}
+
+    graphs = list(enumerate_polyominoes(8))
+    graphs += [gen_grid(m, n)
+               for m, n in ((4, 4), (4, 5), (5, 5), (4, 6), (5, 6))]
+    graphs += [gen_grid(5, 6, [(1, 1), (1, 3)]),
+               gen_grid(6, 6, [(1, 2), (3, 2)]),
+               gen_grid(6, 6, [(1, 1), (2, 1), (2, 2)]),
+               gen_grid(7, 5, [(1, 1), (2, 1), (1, 2), (4, 1), (4, 2)]),
+               gen_grid(2, 520),
+               cells_to_embedding(block(0, 0) | block(2, 2), "corner-blocks"),
+               cells_to_embedding(block(2, 0) | block(0, 2),
+                                  "corner-blocks2")]
+    assert len(graphs) == 3792 + 12
+    for g in graphs:
+        assert_matches_validated(g)
 
 
 @given(touching_cells(), st.integers(min_value=1, max_value=60))
