@@ -82,7 +82,7 @@ def cmd_grinberg(args) -> int:
     basis = trace_faces(g)
     eq = equation_of_graph(BasisGraph(g, basis))
     limit = args.limit if not args.all else 1 << len(basis.faces)
-    partitions = solve(eq, limit=max(1, limit))
+    partitions = solve(eq, limit=limit)
     if args.json:
         payload = {
             "graph": g.name,

@@ -1,8 +1,10 @@
 """Planar embedding model, `.pgg` parsing, face tracing and cycle algebra.
 
 A graph is given as a straight-line plane drawing on integer coordinates.
-The rotation system is derived from the geometry (counterclockwise angular
-order of neighbours), faces are traced by next-edge-in-rotation walking,
+A `PlanarEmbedding` holds its `coords` and `edges`, the `rotation` (each
+vertex's neighbours in counterclockwise angular order, the one neighbour
+map) and the incident-edge masks, the one edge index, which `edge_id` and
+`BasisGraph` read.  Faces are traced by next-edge-in-rotation walking,
 and cycles are GF(2) vectors over edge ids represented as frozensets.
 Every drawing is checked for planarity except a set of unit cells, which
 `PlanarEmbedding._from_unit_cells` builds planar by construction.
@@ -44,11 +46,11 @@ class PlanarEmbedding:
         self.coords = dict(coords)
         self.edges = tuple((u, v) for u, v in edges)
         self._validate()
-        self._link()
-        # Rotation: neighbours in counterclockwise angular order.
-        self.rotation: Dict[int, List[int]] = {
-            v: self._ccw_sort(v, ns) for v, ns in self.adjacency.items()
-        }
+        neighbours: Dict[int, List[int]] = {v: [] for v in self.coords}
+        for u, v in self.edges:
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+        self._link({v: self._ccw_sort(v, ns) for v, ns in neighbours.items()})
 
     @classmethod
     def _from_unit_cells(cls, cells: Iterable[Tuple[int, int]],
@@ -88,28 +90,20 @@ class PlanarEmbedding:
         g.name = name
         g.coords = dict(enumerate(points))
         g.edges = tuple(edges)
-        g._link()
-        g.rotation = rotation
+        g._link(rotation)
         return g
 
     # -- construction helpers ------------------------------------------------
 
-    def _link(self):
-        """Set the vertex adjacency and the edge index, and reject an empty
-        or disconnected graph."""
+    def _link(self, rotation: Dict[int, List[int]]):
+        """Store `rotation`, the one neighbour map (each vertex's
+        neighbours in counterclockwise order), and reject an empty or
+        disconnected graph."""
         if not self.coords:
             raise PggParseError("empty graph")
-        adj: Dict[int, List[int]] = {v: [] for v in self.coords}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        if len(reach(adj, next(iter(self.coords)))) != len(self.coords):
+        if len(reach(rotation, next(iter(self.coords)))) != len(self.coords):
             raise PggParseError("graph is disconnected")
-        self.adjacency: Dict[int, List[int]] = adj
-        self.edge_index: Dict[Tuple[int, int], int] = {}
-        for i, (u, v) in enumerate(self.edges):
-            self.edge_index[(u, v)] = i
-            self.edge_index[(v, u)] = i
+        self.rotation = rotation
 
     def _validate(self):
         """Check the drawing: known endpoints, no self-loop, duplicate edge
@@ -209,10 +203,16 @@ class PlanarEmbedding:
         return len(self.edges)
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return len(self.rotation[v])
 
     def edge_id(self, u: int, v: int) -> int:
-        return self.edge_index[(u, v)]
+        """The id of edge uv, the one bit the incident-edge masks of two
+        distinct ends share in a simple graph; KeyError if there is none."""
+        masks = self.incident_edge_masks
+        shared = masks[u] & masks[v] if u != v else 0
+        if not shared:
+            raise KeyError((u, v))
+        return shared.bit_length() - 1
 
     @functools.cached_property
     def incident_edge_masks(self) -> Dict[int, int]:
@@ -455,15 +455,12 @@ def classify_edge_set(e: EdgeSet, g: PlanarEmbedding) -> CycleClass:
     """Degree-and-connectivity analysis of the subgraph touched by e."""
     if not e:
         return CycleClass("empty")
-    deg: Dict[int, int] = {}
     adj: Dict[int, List[int]] = {}
     for eid in e:
         u, v = g.edges[eid]
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    if any(d != 2 for d in deg.values()):
+    if any(len(ns) != 2 for ns in adj.values()):
         return CycleClass("other")
     count = len(components(adj))
     if count == 1:

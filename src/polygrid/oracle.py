@@ -117,13 +117,13 @@ def hamilton_oracle(g: PlanarEmbedding, budget: int = 10 ** 6) -> OracleResult:
     # Bit i of every mask stands for vertices[i], so ascending bits are
     # ascending vertex ids and vertex 0 is the start.
     index = {v: i for i, v in enumerate(vertices)}
-    adj = [sum(1 << index[w] for w in g.adjacency[v]) for v in vertices]
+    adj = [sum(1 << index[w] for w in g.rotation[v]) for v in vertices]
     # Degree-2 vertices force both incident edges into any Hamilton cycle.
     forced = [0] * n
     for v in vertices:
         if g.degree(v) == 2:
             i = index[v]
-            for w in g.adjacency[v]:
+            for w in g.rotation[v]:
                 forced[i] |= 1 << index[w]
                 forced[index[w]] |= 1 << i
     if any(f.bit_count() > 2 for f in forced):

@@ -199,7 +199,7 @@ def claw_d2_scan(g: PlanarEmbedding) -> List[ClawReport]:
     endvertices, sorted by vertex id."""
     reports = []
     for v in sorted(g.coords):
-        neighbours = g.adjacency[v]
+        neighbours = g.rotation[v]
         if len(neighbours) < 3:
             continue
         d2 = sum(1 for w in neighbours if g.degree(w) == 2)

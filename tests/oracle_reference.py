@@ -20,7 +20,7 @@ def set_reference_oracle(g: PlanarEmbedding,
     vertices = sorted(g.coords)
     if n < 3 or any(g.degree(v) < 2 for v in vertices):
         return OracleResult(None, 0, False)
-    adj = {v: sorted(g.adjacency[v]) for v in vertices}
+    adj = {v: sorted(g.rotation[v]) for v in vertices}
     forced: Dict[int, Set[int]] = {v: set() for v in vertices}
     for v in vertices:
         if len(adj[v]) == 2:

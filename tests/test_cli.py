@@ -61,6 +61,15 @@ def test_grinberg_all(pgg, capsys):
     assert len(json.loads(out)["partitions"]) == 36
 
 
+def test_grinberg_bad_limit_exit_3(pgg, capsys):
+    for limit in ("0", "-2"):
+        code, out, err = run(capsys, "grinberg", pgg(fixtures.square()),
+                             "--limit", limit)
+        assert code == 3
+        assert out == ""
+        assert "error: limit must be >= 1" in err
+
+
 def test_holes_json(pgg, capsys):
     code, out, _ = run(capsys, "holes", pgg(fixtures.grid4()), "--json")
     assert code == 0

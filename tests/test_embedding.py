@@ -127,6 +127,19 @@ def test_rotation_is_ccw_angular_order(grid3):
         assert shifted == sorted(shifted)
 
 
+def test_edge_id_finds_each_edge_from_either_end():
+    for g in (parse_pgg(SQUARE_PGG), gen_grid(3, 4)):
+        for i, (u, v) in enumerate(g.edges):
+            assert g.edge_id(u, v) == g.edge_id(v, u) == i
+        edges = {frozenset(e) for e in g.edges}
+        u, v = next((u, v) for u, v in itertools.combinations(g.coords, 2)
+                    if frozenset((u, v)) not in edges)
+        unknown = max(g.coords) + 1
+        for pair in ((u, v), (u, u), (u, unknown), (unknown, u)):
+            with pytest.raises(KeyError):
+                g.edge_id(*pair)
+
+
 def test_sym_diff_identities(domino):
     basis = trace_faces(domino)
     f1, f2 = basis.faces[0].edges, basis.faces[1].edges

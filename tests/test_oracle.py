@@ -171,7 +171,7 @@ def test_cells_to_embedding_rejects_empty_and_apart():
 def test_cells_meeting_at_a_corner_make_one_graph(fig8):
     assert fig8.order == 7
     assert fig8.size == 8
-    assert components(fig8.adjacency) == [tuple(range(7))]
+    assert components(fig8.rotation) == [tuple(range(7))]
     cut = next(v for v, p in fig8.coords.items() if p == (1, 1))
     assert fig8.rotation[cut] == [
         next(v for v, p in fig8.coords.items() if p == q)

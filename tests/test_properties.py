@@ -85,7 +85,7 @@ def assert_matches_validated(g):
     ref = PlanarEmbedding(g.coords, g.edges, g.name)
     assert g.name == ref.name
     assert g.edges == ref.edges
-    for attr in ("coords", "adjacency", "rotation", "edge_index"):
+    for attr in ("coords", "rotation", "incident_edge_masks"):
         got, want = getattr(g, attr), getattr(ref, attr)
         assert list(got.items()) == list(want.items()), (g.name, attr)
 

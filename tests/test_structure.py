@@ -147,7 +147,7 @@ def test_claw_scan_matches_naive_double_loop(domino, grid3, grid4, fig8):
         for v in sorted(g.coords):
             if g.degree(v) < 3:
                 continue
-            d2 = sum(1 for w in g.adjacency[v] if len(g.adjacency[w]) == 2)
+            d2 = sum(1 for w in g.rotation[v] if len(g.rotation[w]) == 2)
             if d2 >= 2:
                 naive.append((v, g.degree(v), d2))
         got = [(r.vertex, r.incident_count, r.d2_count)
