@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Set, Tuple)
 
 from . import geometry
 
@@ -350,6 +350,24 @@ class FaceBasis:
                 out.setdefault(eid, []).append(fid)
         return {eid: tuple(fids) for eid, fids in out.items()}
 
+    @functools.cached_property
+    def edge_neighbour_masks(self) -> Tuple[int, ...]:
+        """The other faces sharing an edge with each face, as a bitset."""
+        return self._sharing(self.edge_face_ids.values())
+
+    @functools.cached_property
+    def vertex_neighbour_masks(self) -> Tuple[int, ...]:
+        """The other faces sharing a vertex with each face, as a bitset."""
+        return self._sharing(self.vertex_face_ids.values())
+
+    def _sharing(self, groups: Iterable[Tuple[int, ...]]) -> Tuple[int, ...]:
+        out = [0] * len(self.faces)
+        for fids in groups:
+            mask = sum(1 << fid for fid in fids)
+            for fid in fids:
+                out[fid] |= mask
+        return tuple(mask & ~(1 << fid) for fid, mask in enumerate(out))
+
 
 def trace_faces(g: PlanarEmbedding) -> FaceBasis:
     """Trace all faces by rotation-system walking.
@@ -416,6 +434,14 @@ def sym_diff_all(sets: Iterable[EdgeSet]) -> EdgeSet:
 
 
 # -- connectivity ------------------------------------------------------------
+
+def bit_ids(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
 
 def reach(adj: Mapping[int, Iterable[int]], start: int) -> Set[int]:
     """Vertices reachable from start in the graph with adjacency adj."""

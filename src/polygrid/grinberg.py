@@ -114,9 +114,18 @@ def _suffix_reachable(values: Sequence[int], target: int) -> List[int]:
 
 
 def solvable(eq: GrinbergEquation) -> bool:
+    """Whether some subset of the face values sums to the target, by one
+    fold over the lengths; subset sums do not depend on the order of the
+    faces, so it agrees with `solve`'s suffix table.  It skips the cached
+    `values`, whose first read takes a lock on CPython 3.11."""
     target = eq.target
-    return target > 0 and bool(_suffix_reachable(eq.values, target)[0]
-                               >> target & 1)
+    if target <= 0:
+        return False
+    mask = (1 << (target + 1)) - 1
+    reach = 1
+    for length in eq.lengths:
+        reach = (reach | reach << (length - 2)) & mask
+    return bool(reach >> target & 1)
 
 
 def solve(eq: GrinbergEquation, limit: int = 64) -> List[GrinbergPartition]:

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from .embedding import (EdgeSet, FaceBasis, PlanarEmbedding, is_hamilton_cycle,
-                        sym_diff_all, trace_faces)
+from .embedding import (EdgeSet, FaceBasis, PlanarEmbedding, bit_ids,
+                        is_hamilton_cycle, sym_diff_all, trace_faces)
 from .grinberg import equation_of_graph, solvable, solve
 from .structure import CASE_II, BasisGraph, ClawReport, claw_d2_scan
 
@@ -54,10 +54,15 @@ def _cx_walk(bg: BasisGraph, x: int,
     prefix's residual by one removal, and a face that is not removable at
     its turn prunes every set that extends it.  Preorder over the walk is
     the lexicographic order of the sets.
+
+    Past the last face on x it descends only where x already qualifies:
+    deeper removals take higher ids, so faces without x, which have no
+    edge at x and change neither its degree nor its class.
     """
     if bg.degree(x) < 4 or max_size < 1:
         return
     fids = bg.face_ids
+    last = max(bg.faces_on_vertex(x), default=-1)
 
     def walk(residual: BasisGraph, cx: Tuple[int, ...], start: int):
         for k in range(start, len(fids)):
@@ -66,11 +71,11 @@ def _cx_walk(bg: BasisGraph, x: int,
                 continue
             child = residual.remove_face(fid)
             subset = cx + (fid,)
-            if (child.degree(x) == 4
-                    and child.vertex_class(x).tag == "boundary"
-                    and solvable(equation_of_graph(child))):
+            at_x = (child.degree(x) == 4
+                    and child.vertex_class(x).tag == "boundary")
+            if at_x and solvable(equation_of_graph(child)):
                 yield subset, child
-            if len(subset) < max_size:
+            if len(subset) < max_size and (at_x or fid < last):
                 yield from walk(child, subset, k + 1)
 
     yield from walk(bg, (), 0)
@@ -119,20 +124,19 @@ def build_context(residual: BasisGraph, x: int,
     ck, cxe = find_Ck(residual, x)
     if ck is None:
         return HoleContext(x=x, cx=cx)
-    face = residual.face(ck)
-    edge_n = {f for eid in face.edges
-              for f in residual.faces_on_edge(eid)} - {ck}
-    touching = {f for v in face.vertices for f in residual.faces_on_vertex(v)}
+    alive = residual.face_mask
+    edge_n = residual.basis.edge_neighbour_masks[ck] & alive
+    touching = residual.basis.vertex_neighbour_masks[ck] & alive
     return HoleContext(
         x=x, cx=cx, ck=ck, cxe=cxe,
-        ce=tuple(f for f in sorted(edge_n) if residual.is_removable(f)),
-        cv=tuple(sorted(touching - edge_n - {ck})))
+        ce=tuple(f for f in bit_ids(edge_n) if residual.is_removable(f)),
+        cv=tuple(bit_ids(touching & ~edge_n)))
 
 
 # -- the global-hole test and the hole search --------------------------------
 
 def is_global_hole(residual: BasisGraph, ctx: HoleContext) -> bool:
-    """Whether removing ctx's C_k from residual, the feasible C_x residual
+    """Whether peeling ctx's C_k from residual, the feasible C_x residual
     ctx was built on, leaves an infeasible equation.
 
     One removal is the whole peel.  `_cx_walk` yields only residuals in
@@ -147,10 +151,16 @@ def is_global_hole(residual: BasisGraph, ctx: HoleContext) -> bool:
     second C_k.  A peel step never leaves a disconnected residual, and
     removing C_k deletes no edge, so C_k is removed exactly when the
     residual is already connected.
+
+    The peel is tested before the flood, which is exact: removing C_k
+    keeps every vertex and drops one face value, so a feasible peel
+    means a feasible residual and no hole either way.
     """
-    if ctx.ck is not None and residual.connected():
-        residual = residual.remove_face(ctx.ck)
-    return not solvable(equation_of_graph(residual))
+    if ctx.ck is None:
+        return not solvable(equation_of_graph(residual))
+    if solvable(equation_of_graph(residual.remove_face(ctx.ck))):
+        return False
+    return residual.connected() or not solvable(equation_of_graph(residual))
 
 
 def hole_contexts(g: PlanarEmbedding, bg: BasisGraph,
@@ -162,6 +172,8 @@ def hole_contexts(g: PlanarEmbedding, bg: BasisGraph,
     Each context is built and tested on the residual the C_x walk
     already holds, whose equation the walk has found feasible.
     """
+    if max_cx < 1:
+        raise ValueError("max_cx must be >= 1")
     for x in sorted(g.coords):
         if g.degree(x) < 4:
             continue
@@ -185,6 +197,8 @@ def decide(g: PlanarEmbedding, basis: Optional[FaceBasis] = None,
     """
     if claw_mode not in ("strict", "lenient"):
         raise ValueError(f"unknown claw mode {claw_mode!r}")
+    if max_cx < 1:
+        raise ValueError("max_cx must be >= 1")
     reports = tuple(claw_d2_scan(g))
     case2 = tuple(r for r in reports if r.severity == CASE_II)
     if case2:

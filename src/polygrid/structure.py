@@ -100,11 +100,6 @@ class BasisGraph:
         return frozenset(fid for fid in self.basis.vertex_face_ids.get(v, ())
                          if faces >> fid & 1)
 
-    def faces_on_edge(self, eid: int) -> FrozenSet[int]:
-        faces = self.face_mask
-        return frozenset(fid for fid in self.basis.edge_face_ids[eid]
-                         if faces >> fid & 1)
-
     def is_interior(self, v: int) -> bool:
         """Whether v has a surviving edge and all of them have weight 2."""
         incident = self.g.incident_edge_masks.get(v, 0) & self.edge_mask

@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .embedding import (FaceBasis, PlanarEmbedding, classify_edge_set,
-                        components, cycle_vertex_walk, trace_faces)
+from .embedding import (FaceBasis, PlanarEmbedding, bit_ids,
+                        classify_edge_set, components, cycle_vertex_walk,
+                        trace_faces)
 from .holes import HAMILTONIAN, decide
 from .structure import BasisGraph
 
@@ -77,12 +78,9 @@ def _boundary_elements(bg: BasisGraph) -> FrozenSet[int]:
 def _face_adjacency(bg: BasisGraph,
                     fids: Sequence[int]) -> Dict[int, Set[int]]:
     """Edge-sharing neighbours of each given face among the given faces."""
-    members = set(fids)
-    edge_faces = bg.basis.edge_face_ids
-    return {fid: {other for eid in bg.face(fid).edges
-                  for other in edge_faces[eid]
-                  if other != fid and other in members}
-            for fid in fids}
+    members = sum(1 << fid for fid in fids)
+    neighbours = bg.basis.edge_neighbour_masks
+    return {fid: set(bit_ids(neighbours[fid] & members)) for fid in fids}
 
 
 def _bounds(local: BasisGraph, comp_edges: int,

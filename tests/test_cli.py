@@ -70,6 +70,20 @@ def test_grinberg_bad_limit_exit_3(pgg, capsys):
         assert "error: limit must be >= 1" in err
 
 
+def test_bad_max_cx_exit_3(pgg, capsys):
+    # A bound below 1 would search no C_x set, so the hole rule would be
+    # skipped without a word.
+    path = pgg(fixtures.grid4())
+    for argv in (("decide", path, "--max-cx", "-2"),
+                 ("decide", path, "--max-cx", "0", "--lenient-claw"),
+                 ("holes", path, "--max-cx", "0"),
+                 ("holes", path, "--max-cx", "-2", "--json")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert out == ""
+        assert "error: max_cx must be >= 1" in err
+
+
 def test_holes_json(pgg, capsys):
     code, out, _ = run(capsys, "holes", pgg(fixtures.grid4()), "--json")
     assert code == 0

@@ -79,11 +79,16 @@ def _replayed_candidate_cx(bg, x, max_size):
     return out
 
 
-def test_candidate_cx_matches_replayed_subsets(grid4):
-    graphs = [grid4, gen_grid(4, 5), gen_grid(5, 5),
-              gen_grid(5, 5, [(1, 1), (1, 2)]),
-              gen_grid(5, 6, [(1, 1), (2, 1)]),
-              gen_grid(6, 5, [(1, 1), (2, 1), (2, 2)])]
+def test_candidate_cx_matches_replayed_subsets(grid4, bridged_blocks):
+    # The replay has no prune, so this also holds the walk's stop past the
+    # last face on x, on faces of length 3 and at bridges too.
+    graphs = ([grid4, gen_grid(4, 5), gen_grid(5, 5),
+               gen_grid(5, 5, [(1, 1), (1, 2)]),
+               gen_grid(5, 6, [(1, 1), (2, 1)]),
+               gen_grid(6, 5, [(1, 1), (2, 1), (2, 2)]),
+               bridged_blocks]
+              + _cut_tilings()
+              + list(enumerate_polyominoes(5)))
     for g in graphs:
         bg = BasisGraph(g, trace_faces(g))
         for x in sorted(g.coords):
@@ -240,12 +245,7 @@ def _cut_squares(m, n, cut):
     return rings
 
 
-def _masks(bg):
-    return bg.face_mask, bg.edge_mask, bg.w2_mask
-
-
-def test_single_ck_removal_matches_the_general_peel(monkeypatch,
-                                                    bridged_blocks):
+def _cut_tilings():
     tilings = {
         "diagonals-one-way": _cut_squares(3, 3, lambda cx, cy: True),
         "diagonals-alternating": _cut_squares(
@@ -253,12 +253,25 @@ def test_single_ck_removal_matches_the_general_peel(monkeypatch,
         "checkerboard": _cut_squares(
             4, 4, lambda cx, cy: None if (cx + cy) % 2 else True),
     }
+    return [_polygons_to_embedding(rings, name)
+            for name, rings in tilings.items()]
+
+
+def _masks(bg):
+    return bg.face_mask, bg.edge_mask, bg.w2_mask
+
+
+def test_single_ck_removal_matches_the_general_peel(monkeypatch,
+                                                    bridged_blocks):
+    # The two 6 x 4 grids hold the only infeasible peels found so far, all
+    # on connected residuals.
     graphs = ([fixtures.grid4(), gen_grid(5, 6),
-               gen_grid(5, 6, [(1, 1), (1, 2), (2, 1)])]
+               gen_grid(5, 6, [(1, 1), (1, 2), (2, 1)]),
+               gen_grid(6, 4, [(1, 1), (2, 1)]),
+               gen_grid(4, 6, [(1, 1), (1, 2)])]
               + list(enumerate_polyominoes(6))
               + [make() for make in fixtures.ALL.values()]
-              + [_polygons_to_embedding(rings, name)
-                 for name, rings in tilings.items()]
+              + _cut_tilings()
               + [bridged_blocks])
     handed = []
     real_equation = holes.equation_of_graph
@@ -284,8 +297,18 @@ def test_single_ck_removal_matches_the_general_peel(monkeypatch,
             assert find_Ck(residual.remove_face(ctx.ck), ctx.x) == (None, ())
             if not residual.connected():
                 seen["ck on a disconnected residual"] += 1
+        # The C_k-removed residual is tested first; the residual itself
+        # follows only when that peel is infeasible and the residual is
+        # disconnected, the one case in which the peel keeps C_k.
+        expected = [residual]
+        if ctx.ck is not None:
+            expected = [residual.remove_face(ctx.ck)]
+            if not solvable(real_equation(expected[0])):
+                seen["infeasible peel"] += 1
+                if not residual.connected():
+                    expected.append(residual)
+        assert [_masks(r) for r in handed] == [_masks(r) for r in expected]
         peeled = _reference_peel(residual, ctx)
-        assert [_masks(r) for r in handed] == [_masks(peeled)]
         assert hole == (not solvable(real_equation(peeled)))
         return hole
 
@@ -295,6 +318,7 @@ def test_single_ck_removal_matches_the_general_peel(monkeypatch,
             seen["contexts"] += 1
     assert seen["contexts"] > 10000
     assert seen["ck on a disconnected residual"] >= 14
+    assert seen["infeasible peel"] > 0
     assert seen["two faces at x"] > 0
 
 
@@ -379,10 +403,14 @@ def test_decide_twin_nonagons(twin_nonagons):
 
 def test_decide_rejects_unknown_mode(square, fig8, grid3):
     # fig8 ends at a case-II claw and grid3 at an infeasible equation; the
-    # mode is rejected before either.
+    # mode and the C_x bound are rejected before either.
     for g in (square, fig8, grid3):
         with pytest.raises(ValueError):
             decide(g, claw_mode="medium")
+        with pytest.raises(ValueError, match="max_cx must be >= 1"):
+            decide(g, claw_mode="lenient", max_cx=0)
+        with pytest.raises(ValueError, match="max_cx must be >= 1"):
+            next(hole_contexts(g, BasisGraph(g, trace_faces(g)), 0))
 
 
 def test_decide_deterministic(grid4):
