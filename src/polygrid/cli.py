@@ -36,7 +36,8 @@ def cmd_classify(args) -> int:
     basis = trace_faces(g)
     bg = BasisGraph(g, basis)
     weights = bg.weights
-    classes = {v: bg.vertex_class(v) for v in sorted(g.coords)}
+    classes = {v: (bg.vertex_class(v).tag, sorted(bg.faces_on_vertex(v)))
+               for v in sorted(g.coords)}
     claws = claw_d2_scan(g)
     if args.json:
         payload = {
@@ -45,9 +46,8 @@ def cmd_classify(args) -> int:
                 {"edge": [min(g.edges[e]), max(g.edges[e])], "w": w}
                 for e, w in sorted(weights.items())],
             "vertexClasses": [
-                {"vertex": v, "class": c.tag,
-                 "cyclesOn": sorted(c.cycles_on)}
-                for v, c in classes.items()],
+                {"vertex": v, "class": tag, "cyclesOn": faces}
+                for v, (tag, faces) in classes.items()],
             "boundaryEdges": _edge_pairs(g, bg.boundary_edge_ids()),
             "clawReports": [
                 {"vertex": r.vertex, "incident": r.incident_count,
@@ -63,8 +63,8 @@ def cmd_classify(args) -> int:
         u, v = g.edges[e]
         print(f"  {u} {v}: w={w}")
     print("vertex classes:")
-    for v, c in classes.items():
-        print(f"  {v}: {c.tag} (on {len(c.cycles_on)} faces)")
+    for v, (tag, faces) in classes.items():
+        print(f"  {v}: {tag} (on {len(faces)} faces)")
     print("boundary edges: "
           + " ".join(f"{a}-{b}" for a, b in _edge_pairs(g, bg.boundary_edge_ids())))
     if claws:
@@ -223,10 +223,12 @@ def cmd_oracle(args) -> int:
 
 def cmd_gen(args) -> int:
     holes = []
-    if args.holes:
-        for chunk in args.holes.split(";"):
-            r, c = chunk.split(",")
-            holes.append((int(r), int(c)))
+    for chunk in args.holes.split(";") if args.holes else ():
+        try:
+            cx, cy = map(int, chunk.split(","))
+        except ValueError:
+            raise ValueError(f"bad hole cell {chunk!r} (want x,y)") from None
+        holes.append((cx, cy))
     g = gen_grid(args.m, args.n, holes)
     sys.stdout.write(write_pgg(g))
     return 0
@@ -298,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--holes", default="",
-                   help='deleted cells as "r,c;r,c"')
+                   help='deleted cells as "x,y;x,y"')
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("compare", help="criterion-vs-oracle audit")

@@ -92,43 +92,30 @@ def candidate_Cx(bg: BasisGraph, x: int,
     return [cx for cx, _ in _cx_walk(bg, x, max_size)]
 
 
-def find_Ck(residual: BasisGraph,
-            x: int) -> Tuple[Optional[int], Tuple[int, ...]]:
-    """The first C_k at x and its C_xe, or (None, ()) when there is none.
-
-    C_k is a face on x that holds an interior vertex and no weight-1 edge
-    of the residual, so its removal deletes no edge and it is removable;
-    C_xe are the removable faces that meet C_k exactly at x.
-    """
-    w2 = residual.w2_mask
-    masks = residual.basis.edge_masks
-    on_x = sorted(residual.faces_on_vertex(x))
-    for ck in on_x:
-        face = residual.face(ck)
-        if (not masks[ck] & ~w2
-                and any(residual.is_interior(v) for v in face.vertices)):
-            return ck, tuple(
-                fid for fid in on_x
-                if residual.face(fid).vertices & face.vertices == {x}
-                and residual.is_removable(fid))
-    return None, ()
-
-
 def build_context(residual: BasisGraph, x: int,
                   cx: Tuple[int, ...]) -> HoleContext:
     """The hole context of a C_x set, given the residual after removing it.
 
-    C_e are the removable faces sharing an edge with C_k, and C_v the
-    faces that touch C_k only at vertices.
+    C_k is the first face on x that holds an interior vertex and no
+    weight-1 edge of the residual, so its removal deletes no edge and it
+    is removable.  C_e are the removable faces sharing an edge with C_k,
+    and C_v the faces that touch C_k only at vertices.  C_xe is left
+    empty: on every residual the C_x walk yields it is (see
+    `is_global_hole`).
     """
-    ck, cxe = find_Ck(residual, x)
-    if ck is None:
+    w2 = residual.w2_mask
+    masks = residual.basis.edge_masks
+    for ck in sorted(residual.faces_on_vertex(x)):
+        if (not masks[ck] & ~w2 and any(
+                residual.is_interior(v) for v in residual.face(ck).vertices)):
+            break
+    else:
         return HoleContext(x=x, cx=cx)
     alive = residual.face_mask
     edge_n = residual.basis.edge_neighbour_masks[ck] & alive
     touching = residual.basis.vertex_neighbour_masks[ck] & alive
     return HoleContext(
-        x=x, cx=cx, ck=ck, cxe=cxe,
+        x=x, cx=cx, ck=ck,
         ce=tuple(f for f in bit_ids(edge_n) if residual.is_removable(f)),
         cv=tuple(bit_ids(touching & ~edge_n)))
 
@@ -136,31 +123,30 @@ def build_context(residual: BasisGraph, x: int,
 # -- the global-hole test and the hole search --------------------------------
 
 def is_global_hole(residual: BasisGraph, ctx: HoleContext) -> bool:
-    """Whether peeling ctx's C_k from residual, the feasible C_x residual
-    ctx was built on, leaves an infeasible equation.
+    """Whether peeling ctx's C_k from residual leaves an infeasible
+    equation.
 
-    One removal is the whole peel.  `_cx_walk` yields only residuals in
-    which x is a degree-4 boundary vertex, so the surviving faces at x
-    form one arc: k faces across k + 1 of its edges, each end face with a
-    weight-1 edge at x, and a weight-0 bridge, which the root keeps, on
-    each of the other 3 - k edges.  A C_k has no weight-1 edge, so only
-    the middle face of a three-face arc can be C_k; at a bridge the arc
-    has at most two faces, each an end, and there is none.  Both other
-    faces share an edge with C_k, so C_xe is empty.  Once C_k is gone,
-    both faces left at x have a weight-1 edge there, so there is no
-    second C_k.  A peel step never leaves a disconnected residual, and
-    removing C_k deletes no edge, so C_k is removed exactly when the
-    residual is already connected.
+    residual must be a residual the C_x walk yielded for ctx: its
+    equation is feasible and x is a degree-4 boundary vertex in it.  Then
+    one removal is the whole peel.  The surviving faces at x form one
+    arc: k faces across k + 1 of its edges, each end face with a weight-1
+    edge at x, and a weight-0 bridge, which the root keeps, on each of
+    the other 3 - k edges.  A C_k has no weight-1 edge, so only the
+    middle face of a three-face arc can be C_k; at a bridge the arc has
+    at most two faces, each an end, and there is none.  Both other faces
+    share an edge with C_k, so C_xe is empty.  Once C_k is gone, both
+    faces left at x have a weight-1 edge there, so there is no second
+    C_k.  A peel step never leaves a disconnected residual, and removing
+    C_k deletes no edge, so C_k is removed exactly when the residual is
+    already connected.  Without C_k, or with it kept, the peeled residual
+    is the feasible residual itself, so there is no hole.
 
-    The peel is tested before the flood, which is exact: removing C_k
-    keeps every vertex and drops one face value, so a feasible peel
-    means a feasible residual and no hole either way.
+    The peel's equation is solved before the residual is flooded, so a
+    feasible peel costs no flood.
     """
-    if ctx.ck is None:
-        return not solvable(equation_of_graph(residual))
-    if solvable(equation_of_graph(residual.remove_face(ctx.ck))):
-        return False
-    return residual.connected() or not solvable(equation_of_graph(residual))
+    return (ctx.ck is not None
+            and not solvable(equation_of_graph(residual.remove_face(ctx.ck)))
+            and residual.connected())
 
 
 def hole_contexts(g: PlanarEmbedding, bg: BasisGraph,
@@ -175,8 +161,6 @@ def hole_contexts(g: PlanarEmbedding, bg: BasisGraph,
     if max_cx < 1:
         raise ValueError("max_cx must be >= 1")
     for x in sorted(g.coords):
-        if g.degree(x) < 4:
-            continue
         for cx, residual in _cx_walk(bg, x, max_cx):
             ctx = build_context(residual, x, cx)
             yield ctx, is_global_hole(residual, ctx)

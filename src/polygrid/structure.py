@@ -26,7 +26,6 @@ class NonTilingBasisError(ValueError):
 @dataclass(frozen=True)
 class VertexClass:
     tag: str                       # "boundary" | "interior" | "other"
-    cycles_on: FrozenSet[int]      # basis faces containing the vertex
 
 
 @dataclass(frozen=True)
@@ -106,13 +105,16 @@ class BasisGraph:
         return bool(incident) and not incident & ~self.w2_mask
 
     def vertex_class(self, v: int) -> VertexClass:
-        cycles_on = self.faces_on_vertex(v)
+        """Interior, else boundary when v has one weight-2 edge fewer than
+        surviving faces on it, else other."""
         if self.is_interior(v):
-            return VertexClass("interior", cycles_on)
+            return VertexClass("interior")
+        faces = self.face_mask
+        on_v = sum(faces >> fid & 1
+                   for fid in self.basis.vertex_face_ids.get(v, ()))
         w2 = self.g.incident_edge_masks.get(v, 0) & self.w2_mask
-        if w2.bit_count() == len(cycles_on) - 1:
-            return VertexClass("boundary", cycles_on)
-        return VertexClass("other", cycles_on)
+        return VertexClass("boundary" if w2.bit_count() == on_v - 1
+                           else "other")
 
     @property
     def weights(self) -> Dict[int, int]:

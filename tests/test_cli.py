@@ -180,6 +180,18 @@ def test_gen_bad_hole_exit_3(capsys):
     assert "error:" in err
 
 
+def test_gen_malformed_holes_name_the_cell(capsys):
+    # Each chunk of --holes is one "x,y" cell; a chunk with another number
+    # of values, or that is not a number, is named in the error.
+    for holes, chunk in (("1", "'1'"), ("1,1;", "''"), ("1,1,1", "'1,1,1'"),
+                         ("1,1;a,2", "'a,2'")):
+        code, out, err = run(capsys, "gen", "grid", "6", "6",
+                             "--holes", holes)
+        assert code == 3, holes
+        assert out == ""
+        assert err == f"error: bad hole cell {chunk} (want x,y)\n"
+
+
 def test_missing_file_exit_3(capsys):
     code, _, err = run(capsys, "decide", "/nonexistent/nope.pgg")
     assert code == 3

@@ -6,9 +6,9 @@ import pytest
 
 from polygrid import fixtures, holes, trace_faces
 from polygrid.holes import (CLAW, HAMILTONIAN, NO_SOLUTION, UNVERIFIED,
-                            build_context, candidate_Cx, decide, find_Ck,
+                            build_context, candidate_Cx, decide,
                             hole_contexts, is_global_hole)
-from polygrid.embedding import is_hamilton_cycle
+from polygrid.embedding import enclosed_faces, is_hamilton_cycle
 from polygrid.grinberg import equation_of_graph, solvable
 from polygrid.fixtures import _polygons_to_embedding
 from polygrid.oracle import enumerate_polyominoes, gen_grid
@@ -105,7 +105,7 @@ def test_find_ck_grid4_before_peel(grid4):
     # are excluded outright.
     ks = _scan_find_ck(bg, x)
     assert len(ks) == 1
-    assert find_Ck(bg, x)[0] == ks[0]
+    assert build_context(bg, x, ()).ck == ks[0]
     face = bg.face(ks[0])
     assert all(bg.weights[e] == 2 for e in face.edges)
     assert x in face.vertices
@@ -164,19 +164,18 @@ def test_incidence_lookups_match_face_scans(grid4, fig8, twin_nonagons):
                 bg = bg.remove_face(rng.choice(removable))
             for x in bg.vertices():
                 ks = _scan_find_ck(bg, x)
-                ck, cxe = find_Ck(bg, x)
                 ctx = build_context(bg, x, ())
-                if ck is None:
+                if ctx.ck is None:
                     assert ks == [], (g.name, x)
-                    assert cxe == () and ctx == holes.HoleContext(x, ())
+                    assert ctx == holes.HoleContext(x, ())
                     continue
                 found_ck += 1
-                assert ck == ks[0], (g.name, x)
-                assert cxe == tuple(_scan_cxe(bg, x, ck))
-                assert (ctx.ck, ctx.cxe) == (ck, cxe)
-                assert ctx.ce == tuple(f for f in _scan_sharing_edge(bg, ck)
-                                       if bg.is_removable(f))
-                assert ctx.cv == tuple(_scan_sharing_only_vertices(bg, ck))
+                assert ctx.ck == ks[0], (g.name, x)
+                assert ctx.ce == tuple(
+                    f for f in _scan_sharing_edge(bg, ctx.ck)
+                    if bg.is_removable(f))
+                assert ctx.cv == tuple(
+                    _scan_sharing_only_vertices(bg, ctx.ck))
     assert found_ck > 0
 
 
@@ -207,7 +206,8 @@ def test_is_global_hole_false_on_grid4(grid4):
 def _reference_peel(residual, ctx):
     """The general peel: strip C_xe and then C_k at ctx.x until no C_k
     remains or C_k cannot be removed, skipping any removal that is not
-    removable or would disconnect the residual."""
+    removable or would disconnect the residual.  C_k and C_xe come from
+    the reference scans, not from ctx."""
     def safe_remove(bg, fid):
         if not bg.is_removable(fid):
             return bg, False
@@ -216,14 +216,14 @@ def _reference_peel(residual, ctx):
             return bg, False
         return candidate, True
 
-    ck, cxe = ctx.ck, ctx.cxe
-    while ck is not None:
-        for fid in cxe:
+    ks = _scan_find_ck(residual, ctx.x)
+    while ks:
+        for fid in _scan_cxe(residual, ctx.x, ks[0]):
             residual, _ = safe_remove(residual, fid)
-        residual, done = safe_remove(residual, ck)
+        residual, done = safe_remove(residual, ks[0])
         if not done:
             return residual
-        ck, cxe = find_Ck(residual, ctx.x)
+        ks = _scan_find_ck(residual, ctx.x)
     return residual
 
 
@@ -294,19 +294,20 @@ def test_single_ck_removal_matches_the_general_peel(monkeypatch,
             seen["two faces at x"] += 1
             assert ctx.ck is None
         if ctx.ck is not None:
-            assert find_Ck(residual.remove_face(ctx.ck), ctx.x) == (None, ())
+            # The invariants build_context and is_global_hole rely on:
+            # no face meets C_k only at x, and no second C_k is left.
+            assert _scan_cxe(residual, ctx.x, ctx.ck) == []
+            assert _scan_find_ck(residual.remove_face(ctx.ck), ctx.x) == []
             if not residual.connected():
                 seen["ck on a disconnected residual"] += 1
-        # The C_k-removed residual is tested first; the residual itself
-        # follows only when that peel is infeasible and the residual is
-        # disconnected, the one case in which the peel keeps C_k.
-        expected = [residual]
+        # Only the C_k-removed residual's equation is built: the walk has
+        # found the residual itself feasible, so without C_k, or when a
+        # disconnected residual keeps it, there is no hole.
+        expected = []
         if ctx.ck is not None:
             expected = [residual.remove_face(ctx.ck)]
             if not solvable(real_equation(expected[0])):
                 seen["infeasible peel"] += 1
-                if not residual.connected():
-                    expected.append(residual)
         assert [_masks(r) for r in handed] == [_masks(r) for r in expected]
         peeled = _reference_peel(residual, ctx)
         assert hole == (not solvable(real_equation(peeled)))
@@ -320,6 +321,58 @@ def test_single_ck_removal_matches_the_general_peel(monkeypatch,
     assert seen["ck on a disconnected residual"] >= 14
     assert seen["infeasible peel"] > 0
     assert seen["two faces at x"] > 0
+
+
+def _hamilton_cycles(g):
+    """Every Hamilton cycle of g as an edge-id set, each once: a DFS over
+    paths from the lowest vertex, keeping one direction of each cycle."""
+    start = min(g.coords)
+    path, on_path, cycles = [start], {start}, []
+
+    def extend(v):
+        if len(path) == g.order:
+            if start in g.rotation[v] and path[1] < path[-1]:
+                cycles.append(frozenset(g.edge_id(path[i - 1], path[i])
+                                        for i in range(len(path))))
+            return
+        for w in g.rotation[v]:
+            if w not in on_path:
+                path.append(w)
+                on_path.add(w)
+                extend(w)
+                on_path.discard(w)
+                path.pop()
+
+    extend(start)
+    return cycles
+
+
+def test_every_hamilton_cycle_puts_a_global_hole_face_inside():
+    # A global hole proves this much: the walk's residuals keep every
+    # vertex and removing C_k deletes no edge, so a Hamilton cycle whose
+    # inside faces avoided R = C_x + {C_k} would solve the infeasible
+    # peeled equation.  The rule's further step, that there is no Hamilton
+    # cycle at all, is not checked here.
+    seen = Counter()
+    for g in list(enumerate_polyominoes(8)) + [gen_grid(4, 5)]:
+        basis = trace_faces(g)
+        found = [ctx for ctx, hole in
+                 hole_contexts(g, BasisGraph(g, basis), 3) if hole]
+        if not found:
+            continue
+        assert g.order <= 20, g.name
+        seen["graphs"] += 1
+        seen["contexts"] += len(found)
+        for cycle in _hamilton_cycles(g):
+            assert is_hamilton_cycle(cycle, g)
+            inside = enclosed_faces(cycle, basis, g)
+            for ctx in found:
+                removed = set(ctx.cx) | {ctx.ck}
+                assert inside & removed, (g.name, ctx)
+                seen["pairs"] += 1
+                seen["all inside"] += removed <= inside
+    assert seen["graphs"] >= 20 and seen["contexts"] >= 70
+    assert seen["pairs"] >= 100 and seen["all inside"] > 0
 
 
 def test_hole_contexts_calls_each_step_once_per_context(monkeypatch):

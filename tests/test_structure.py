@@ -82,15 +82,15 @@ def test_classify_grid3_centre_interior(grid3):
 
 
 def test_classify_domino_corner_boundary(domino):
-    cls = root(domino).vertex_class(vertex_at(domino, (0, 0)))
-    assert cls.tag == "boundary"
-    assert len(cls.cycles_on) == 1
+    bg, v = root(domino), vertex_at(domino, (0, 0))
+    assert bg.vertex_class(v).tag == "boundary"
+    assert len(bg.faces_on_vertex(v)) == 1
 
 
 def test_classify_fig8_shared_other(fig8):
-    cls = root(fig8).vertex_class(vertex_at(fig8, (1, 1)))
-    assert cls.tag == "other"
-    assert len(cls.cycles_on) == 2
+    bg, v = root(fig8), vertex_at(fig8, (1, 1))
+    assert bg.vertex_class(v).tag == "other"
+    assert len(bg.faces_on_vertex(v)) == 2
 
 
 def test_classification_is_total_and_exclusive(grid4, fig8):
@@ -103,7 +103,7 @@ def test_classification_is_total_and_exclusive(grid4, fig8):
             incident = [e for e in bg.weights if v in g.edges[e]]
             all_w2 = all(bg.weights[e] == 2 for e in incident)
             w2 = sum(1 for e in incident if bg.weights[e] == 2)
-            bdry = w2 == len(cls.cycles_on) - 1
+            bdry = w2 == len(bg.faces_on_vertex(v)) - 1
             assert not (all_w2 and bdry and cls.tag == "other")
 
 
@@ -317,14 +317,13 @@ class DictModel:
                          if v in self.basis.faces[fid].vertices)
 
     def vertex_class(self, v):
-        cycles_on = self.faces_on_vertex(v)
         incident = [self.weights[eid] for eid in self.incident_edges(v)]
         w2 = incident.count(2)
         if incident and w2 == len(incident):
-            return VertexClass("interior", cycles_on)
-        if w2 == len(cycles_on) - 1:
-            return VertexClass("boundary", cycles_on)
-        return VertexClass("other", cycles_on)
+            return VertexClass("interior")
+        if w2 == len(self.faces_on_vertex(v)) - 1:
+            return VertexClass("boundary")
+        return VertexClass("other")
 
     def boundary_edge_ids(self):
         return frozenset(e for e, count in self.weights.items() if count == 1)

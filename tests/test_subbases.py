@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -326,3 +327,28 @@ def test_decompose_shrink_drops_a_tail():
     assert dec == _reference_decompose(g)
     assert SubbasisRecord(interior=(4,),
                           boundary=(0, 1, 2, 3, 5, 6, 7, 8)) in dec.records
+
+
+def test_decompose_shrink_tries_each_boundary_face_once(monkeypatch):
+    # The shrink tries each boundary-element face with one removal and
+    # tests each trial with vertex_class, past the one call per vertex
+    # that finds the boundary elements.  A shrink that stopped going
+    # through either would fail here, which a per-vertex count alone
+    # cannot show.
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(BasisGraph, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+        return wrapper
+
+    for name in ("remove_face", "vertex_class"):
+        monkeypatch.setattr(BasisGraph, name, counting(name))
+    g = gen_grid(10, 10)
+    dec = decompose(g)
+    assert len(dec.boundary_element_faces) == 32
+    assert calls["remove_face"] == len(dec.boundary_element_faces)
+    assert calls["vertex_class"] > g.order
