@@ -116,9 +116,7 @@ def cmd_holes(args) -> int:
         payload = {
             "graph": g.name,
             "contexts": [
-                {"x": c.x, "cx": list(c.cx), "ck": c.ck,
-                 "cxe": list(c.cxe), "ce": list(c.ce), "cv": list(c.cv),
-                 "globalHole": hole}
+                {"x": c.x, "cx": list(c.cx), "ck": c.ck, "globalHole": hole}
                 for c, hole in contexts],
             "anyGlobalHole": any(h for _, h in contexts),
         }
@@ -128,8 +126,7 @@ def cmd_holes(args) -> int:
         print(f"graph {g.name}: no hole contexts (no qualifying C_x)")
         return 0
     for c, hole in contexts:
-        print(f"x={c.x} Cx={list(c.cx)} Ck={c.ck} Cxe={list(c.cxe)} "
-              f"Ce={list(c.ce)} Cv={list(c.cv)} globalHole={hole}")
+        print(f"x={c.x} Cx={list(c.cx)} Ck={c.ck} globalHole={hole}")
     return 0
 
 

@@ -353,16 +353,8 @@ class FaceBasis:
     @functools.cached_property
     def edge_neighbour_masks(self) -> Tuple[int, ...]:
         """The other faces sharing an edge with each face, as a bitset."""
-        return self._sharing(self.edge_face_ids.values())
-
-    @functools.cached_property
-    def vertex_neighbour_masks(self) -> Tuple[int, ...]:
-        """The other faces sharing a vertex with each face, as a bitset."""
-        return self._sharing(self.vertex_face_ids.values())
-
-    def _sharing(self, groups: Iterable[Tuple[int, ...]]) -> Tuple[int, ...]:
         out = [0] * len(self.faces)
-        for fids in groups:
+        for fids in self.edge_face_ids.values():
             mask = sum(1 << fid for fid in fids)
             for fid in fids:
                 out[fid] |= mask

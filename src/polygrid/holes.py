@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from .embedding import (EdgeSet, FaceBasis, PlanarEmbedding, bit_ids,
+from .embedding import (EdgeSet, FaceBasis, PlanarEmbedding,
                         is_hamilton_cycle, sym_diff_all, trace_faces)
 from .grinberg import equation_of_graph, solvable, solve
 from .structure import CASE_II, BasisGraph, ClawReport, claw_d2_scan
@@ -30,9 +30,6 @@ class HoleContext:
     x: int
     cx: Tuple[int, ...]
     ck: Optional[int] = None
-    cxe: Tuple[int, ...] = ()
-    ce: Tuple[int, ...] = ()
-    cv: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -98,26 +95,16 @@ def build_context(residual: BasisGraph, x: int,
 
     C_k is the first face on x that holds an interior vertex and no
     weight-1 edge of the residual, so its removal deletes no edge and it
-    is removable.  C_e are the removable faces sharing an edge with C_k,
-    and C_v the faces that touch C_k only at vertices.  C_xe is left
-    empty: on every residual the C_x walk yields it is (see
-    `is_global_hole`).
+    is removable.  That is all the global-hole test reads: on every
+    residual the C_x walk yields, C_xe is empty (see `is_global_hole`).
     """
     w2 = residual.w2_mask
     masks = residual.basis.edge_masks
     for ck in sorted(residual.faces_on_vertex(x)):
         if (not masks[ck] & ~w2 and any(
                 residual.is_interior(v) for v in residual.face(ck).vertices)):
-            break
-    else:
-        return HoleContext(x=x, cx=cx)
-    alive = residual.face_mask
-    edge_n = residual.basis.edge_neighbour_masks[ck] & alive
-    touching = residual.basis.vertex_neighbour_masks[ck] & alive
-    return HoleContext(
-        x=x, cx=cx, ck=ck,
-        ce=tuple(f for f in bit_ids(edge_n) if residual.is_removable(f)),
-        cv=tuple(bit_ids(touching & ~edge_n)))
+            return HoleContext(x=x, cx=cx, ck=ck)
+    return HoleContext(x=x, cx=cx)
 
 
 # -- the global-hole test and the hole search --------------------------------
@@ -183,6 +170,8 @@ def decide(g: PlanarEmbedding, basis: Optional[FaceBasis] = None,
         raise ValueError(f"unknown claw mode {claw_mode!r}")
     if max_cx < 1:
         raise ValueError("max_cx must be >= 1")
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
     reports = tuple(claw_d2_scan(g))
     case2 = tuple(r for r in reports if r.severity == CASE_II)
     if case2:

@@ -62,10 +62,16 @@ def test_grinberg_all(pgg, capsys):
 
 
 def test_grinberg_bad_limit_exit_3(pgg, capsys):
-    for limit in ("0", "-2"):
-        code, out, err = run(capsys, "grinberg", pgg(fixtures.square()),
-                             "--limit", limit)
-        assert code == 3
+    # decide checks the bound before any stage runs: grid3's infeasible
+    # equation would otherwise decide first, and grid4 would reach the
+    # certificate stage only after the whole hole search.
+    square = pgg(fixtures.square())
+    for argv in (("grinberg", square, "--limit", "0"),
+                 ("grinberg", square, "--limit", "-2"),
+                 ("decide", pgg(fixtures.grid3()), "--limit", "0"),
+                 ("decide", pgg(fixtures.grid4()), "--limit", "-2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
         assert out == ""
         assert "error: limit must be >= 1" in err
 
@@ -100,17 +106,23 @@ def test_holes_no_contexts(pgg, capsys):
 
 def test_holes_lists_the_contexts_decide_searches(pgg, capsys):
     # The 4x5 grid is Hamiltonian, yet the global-hole rule rejects it: the
-    # first global hole `holes` lists is the one decide reports.
+    # first global hole `holes` lists is the one decide reports.  A context
+    # holds exactly what the global-hole test reads: x, C_x and C_k.
     g = gen_grid(4, 5)
-    code, out, _ = run(capsys, "holes", pgg(g), "--json")
+    path = pgg(g)
+    code, out, _ = run(capsys, "holes", path, "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["anyGlobalHole"] is True
     first = next(c for c in payload["contexts"] if c["globalHole"])
     hole = decide(g, claw_mode="lenient").hole
     assert first == {"x": hole.x, "cx": list(hole.cx), "ck": hole.ck,
-                     "cxe": list(hole.cxe), "ce": list(hole.ce),
-                     "cv": list(hole.cv), "globalHole": True}
+                     "globalHole": True}
+    code, out, _ = run(capsys, "holes", path)
+    assert code == 0
+    first = next(line for line in out.splitlines()
+                 if line.endswith("globalHole=True"))
+    assert first == "x=7 Cx=[1, 4, 9] Ck=6 globalHole=True"
 
 
 def test_decide_exit_codes(pgg, capsys):
