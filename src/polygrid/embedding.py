@@ -7,12 +7,15 @@ map) and the incident-edge masks, the one edge index, which `edge_id` and
 `BasisGraph` read.  Faces are traced by next-edge-in-rotation walking,
 and cycles are GF(2) vectors over edge ids represented as frozensets.
 Every drawing is checked for planarity except a set of unit cells, which
-`PlanarEmbedding._from_unit_cells` builds planar by construction.
+`PlanarEmbedding._from_unit_cells` builds planar by construction.  The
+check compares headings for edges at a common vertex and tests segment
+pairs in shared grid cells only for edges with no common endpoint.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
                     Optional, Sequence, Set, Tuple)
@@ -23,10 +26,14 @@ EdgeSet = FrozenSet[int]
 
 
 class PggParseError(ValueError):
-    """Parse or validation failure for a `.pgg` input, with a line number."""
+    """Parse or validation failure for a `.pgg` input, with a line number,
+    or with the index of the offending edge when the drawing is checked
+    apart from its text."""
 
-    def __init__(self, message: str, line: Optional[int] = None):
+    def __init__(self, message: str, line: Optional[int] = None,
+                 edge: Optional[int] = None):
         self.line = line
+        self.edge = edge
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
@@ -107,18 +114,20 @@ class PlanarEmbedding:
 
     def _validate(self):
         """Check the drawing: known endpoints, no self-loop, duplicate edge
-        or shared position, and planarity."""
+        or shared position, and planarity.  An error about one edge names
+        its index as `edge`; unknown endpoints are reported before any
+        self-loop or duplicate."""
+        for i, (u, v) in enumerate(self.edges):
+            for w in (u, v):
+                if w not in self.coords:
+                    raise PggParseError(f"unknown vertex {w}", edge=i)
         seen = set()
-        for u, v in self.edges:
-            if u not in self.coords:
-                raise PggParseError(f"unknown vertex {u}")
-            if v not in self.coords:
-                raise PggParseError(f"unknown vertex {v}")
+        for i, (u, v) in enumerate(self.edges):
             if u == v:
-                raise PggParseError(f"self-loop at vertex {u}")
+                raise PggParseError(f"self-loop at vertex {u}", edge=i)
             key = frozenset((u, v))
             if key in seen:
-                raise PggParseError(f"duplicate edge {u} {v}")
+                raise PggParseError(f"duplicate edge {u} {v}", edge=i)
             seen.add(key)
         positions = {}
         for vid, p in self.coords.items():
@@ -129,42 +138,68 @@ class PlanarEmbedding:
         self._check_planarity()
 
     def _check_planarity(self):
-        """Reject crossing edges and vertices on foreign edges.
+        """Reject overlapping or crossing edges and vertices on foreign
+        edges.
 
-        Segments are bucketed into square cells whose side is the longest
+        Positions are distinct, so two edges at a common vertex overlap
+        exactly when they leave it in the same heading, the direction
+        (dx // g, dy // g) with g = gcd(dx, dy); one pass keyed by
+        (vertex, heading) finds every such pair.  Edges with no common
+        endpoint are bucketed into square cells whose side is the longest
         edge extent, so each segment's bounding box touches at most four
-        cells and only segments sharing a cell are compared.  Pairs are
-        tested in ascending (i, j) order, then each vertex, in the order of
-        `coords`, against the edges of its own cell in edge order, so the
-        first error is the one a scan of all pairs would report.
+        cells and only segments sharing a cell are compared, in ascending
+        (i, j) order until a pair crosses or passes the smallest heading
+        collision.  The smaller of the two is reported.  Then each vertex,
+        in the order of `coords`, is tested against the edges of its own
+        cell in edge order, so the first error is the one a scan of all
+        pairs would report.
         """
-        segs = [(self.coords[u], self.coords[v]) for u, v in self.edges]
+        edges = self.edges
+        segs = [(self.coords[u], self.coords[v]) for u, v in edges]
+        best = None
+        first_leaving: Dict[Tuple[int, int, int], int] = {}
+        for j, ((u, v), (a, b)) in enumerate(zip(edges, segs)):
+            dx, dy = b[0] - a[0], b[1] - a[1]
+            g = math.gcd(dx, dy)
+            dx, dy = dx // g, dy // g
+            for key in ((u, dx, dy), (v, -dx, -dy)):
+                i = first_leaving.setdefault(key, j)
+                if i != j and (best is None or (i, j) < best):
+                    best = (i, j)
         side = max([1] + [max(abs(a[0] - b[0]), abs(a[1] - b[1]))
                           for a, b in segs])
+        cell_of = {vid: (x // side, y // side)
+                   for vid, (x, y) in self.coords.items()}
         cells: Dict[Tuple[int, int], List[int]] = {}
-        seg_cells: List[List[Tuple[int, int]]] = []
-        for i, (a, b) in enumerate(segs):
-            touched = [(cx, cy)
-                       for cx in range(min(a[0], b[0]) // side,
-                                       max(a[0], b[0]) // side + 1)
-                       for cy in range(min(a[1], b[1]) // side,
-                                       max(a[1], b[1]) // side + 1)]
+        seg_cells: List[Set[Tuple[int, int]]] = []
+        for i, (u, v) in enumerate(edges):
+            # No extent exceeds the side, so the box spans at most two
+            # cells a way: those of the corners.
+            (ux, uy), (vx, vy) = cell_of[u], cell_of[v]
+            touched = {(ux, uy), (vx, vy), (ux, vy), (vx, uy)}
             for cell in touched:
                 cells.setdefault(cell, []).append(i)
             seg_cells.append(touched)
         for i, (a, b) in enumerate(segs):
-            later = sorted({j for cell in seg_cells[i] for j in cells[cell]
-                            if j > i})
-            for j in later:
-                c, d = segs[j]
-                if geometry.segments_cross(a, b, c, d):
-                    raise PggParseError(
-                        f"edges {self.edges[i]} and {self.edges[j]} cross")
+            if best is not None and i > best[0]:
+                break
+            u, v = edges[i]
+            apart = {j for cell in seg_cells[i] for j in cells[cell]
+                     if j > i and u not in edges[j] and v not in edges[j]}
+            for j in sorted(apart):
+                if best is not None and (i, j) > best:
+                    break
+                if geometry.segments_cross(a, b, *segs[j]):
+                    best = (i, j)
+                    break
+        if best is not None:
+            i, j = best
+            raise PggParseError(f"edges {edges[i]} and {edges[j]} cross")
         # A vertex sitting in the interior of an unrelated edge also breaks
         # the drawing even though no two segments cross.
         for vid, p in self.coords.items():
-            for i in cells.get((p[0] // side, p[1] // side), ()):
-                u, v = self.edges[i]
+            for i in cells.get(cell_of[vid], ()):
+                u, v = edges[i]
                 if vid in (u, v):
                     continue
                 if geometry.on_segment(p, *segs[i]):
@@ -275,15 +310,12 @@ def parse_pgg(text: str) -> PlanarEmbedding:
             raise PggParseError(f"unknown directive {kind!r}", lineno)
     if name is None:
         raise PggParseError("missing graph line")
-    for (u, v), lineno in zip(edges, edge_lines):
-        if u not in coords:
-            raise PggParseError(f"unknown vertex {u}", lineno)
-        if v not in coords:
-            raise PggParseError(f"unknown vertex {v}", lineno)
     try:
         return PlanarEmbedding(coords, edges, name=name)
-    except PggParseError:
-        raise
+    except PggParseError as exc:
+        if exc.edge is None:
+            raise
+        raise PggParseError(str(exc), edge_lines[exc.edge]) from None
     except ValueError as exc:
         raise PggParseError(str(exc))
 

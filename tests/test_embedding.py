@@ -36,6 +36,60 @@ def test_parse_unknown_vertex_cites_line():
     assert "line 9" in str(err.value)
 
 
+def test_parse_self_loop_cites_line():
+    bad = SQUARE_PGG.replace("edge 2 3", "edge 2 2")
+    with pytest.raises(PggParseError) as err:
+        parse_pgg(bad)
+    assert str(err.value) == "line 7: self-loop at vertex 2"
+    assert err.value.line == 7
+
+
+def test_parse_duplicate_edge_cites_line():
+    bad = SQUARE_PGG.replace("edge 4 1", "edge 2 1")
+    with pytest.raises(PggParseError) as err:
+        parse_pgg(bad)
+    assert str(err.value) == "line 9: duplicate edge 2 1"
+    assert err.value.line == 9
+
+
+def test_parse_unknown_vertex_comes_before_an_earlier_self_loop():
+    bad = SQUARE_PGG.replace("edge 2 3", "edge 2 2").replace(
+        "edge 4 1", "edge 1 9")
+    with pytest.raises(PggParseError) as err:
+        parse_pgg(bad)
+    assert str(err.value) == "line 9: unknown vertex 9"
+
+
+# Edges 0 1 and 0 2 overlap along a line out of their shared vertex 0;
+# edges 3 4 and 5 6 share no endpoint and cross at (5, 0).
+OVERLAP_AND_CROSSING = """\
+graph overlap-and-crossing
+vertex 0 0 0
+vertex 1 1 0
+vertex 2 2 0
+vertex 3 5 -1
+vertex 4 5 1
+vertex 5 4 0
+vertex 6 6 0
+"""
+
+
+def test_parse_reports_overlap_before_later_crossing():
+    # The overlap is edge pair (0, 2), the crossing (1, 3).
+    text = OVERLAP_AND_CROSSING + "edge 0 1\nedge 3 4\nedge 0 2\nedge 5 6\n"
+    with pytest.raises(PggParseError) as err:
+        parse_pgg(text)
+    assert str(err.value) == "edges (0, 1) and (0, 2) cross"
+
+
+def test_parse_reports_crossing_before_later_overlap():
+    # The crossing is edge pair (0, 2), the overlap (1, 3).
+    text = OVERLAP_AND_CROSSING + "edge 3 4\nedge 0 1\nedge 5 6\nedge 0 2\n"
+    with pytest.raises(PggParseError) as err:
+        parse_pgg(text)
+    assert str(err.value) == "edges (3, 4) and (5, 6) cross"
+
+
 def test_parse_grid3_counts():
     lines = ["graph grid3"]
     for i, (x, y) in enumerate((x, y) for x in range(3) for y in range(3)):

@@ -203,10 +203,29 @@ def drawings(draw):
         mid = ((ax + bx) // 2, (ay + by) // 2)
         if mid not in points:
             points.append(mid)
+    # Rays p, p + d, p + 2d, ... with edges from p and from p + d, so that
+    # edges at a shared endpoint overlap: two or three on one heading, and
+    # at both ends of one edge.
+    ray_pairs = []
+    for _ in range(draw(st.integers(0, 2))):
+        p = draw(st.tuples(coordinate, coordinate))
+        d = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(
+            lambda d: d != (0, 0)))
+        ray = []
+        for t in range(draw(st.integers(2, 5))):
+            q = (p[0] + t * d[0], p[1] + t * d[1])
+            if q not in points:
+                points.append(q)
+            ray.append(points.index(q))
+        for k in (0, 1):
+            for far in draw(st.lists(st.sampled_from(ray), max_size=3)):
+                ray_pairs.append((ray[k], far))
     ids = draw(st.permutations(range(len(points))))
     coords = dict(zip(ids, points))
     pairs = draw(st.lists(
         st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=14))
+    pairs = draw(st.permutations(
+        pairs + [(ids[i], ids[j]) for i, j in ray_pairs]))
     edges, seen = [], set()
     for u, v in pairs:
         if u != v and frozenset((u, v)) not in seen:
