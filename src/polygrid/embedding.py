@@ -3,20 +3,23 @@
 A graph is given as a straight-line plane drawing on integer coordinates.
 A `PlanarEmbedding` holds its `coords` and `edges`, the `rotation` (each
 vertex's neighbours in counterclockwise angular order, the one neighbour
-map) and the incident-edge masks, the one edge index, which `edge_id` and
-`BasisGraph` read.  Faces are traced by next-edge-in-rotation walking,
-and cycles are GF(2) vectors over edge ids represented as frozensets.
-Every drawing is checked for planarity except a set of unit cells, which
+map) and the incident-edge masks, the one edge index, which `edge_id`,
+`trace_faces` and `BasisGraph` read.  Every drawing is checked for
+planarity except a set of unit cells, which
 `PlanarEmbedding._from_unit_cells` builds planar by construction.  The
-check compares headings for edges at a common vertex and tests segment
-pairs in shared grid cells only for edges with no common endpoint.
+check files each edge under both ends by one exact direction key; sorting
+those keys gives the rotation and finds edges that overlap at a common
+vertex, and segment pairs in shared grid cells are tested only for edges
+with no common endpoint.  Faces are traced by following each dart to the
+next one in the rotation, and cycles are GF(2) vectors over edge ids
+represented as frozensets.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
                     Optional, Sequence, Set, Tuple)
 
@@ -52,25 +55,21 @@ class PlanarEmbedding:
         self.name = name
         self.coords = dict(coords)
         self.edges = tuple((u, v) for u, v in edges)
-        self._validate()
-        neighbours: Dict[int, List[int]] = {v: [] for v in self.coords}
-        for u, v in self.edges:
-            neighbours[u].append(v)
-            neighbours[v].append(u)
-        self._link({v: self._ccw_sort(v, ns) for v, ns in neighbours.items()})
+        self._link(self._validate())
 
     @classmethod
     def _from_unit_cells(cls, cells: Iterable[Tuple[int, int]],
                          name: str) -> "PlanarEmbedding":
         """The lattice graph of a set of unit cells, built without the
-        planarity scan and the angular sort.
+        planarity check and its direction sort.
 
         Vertices are the cell corners, numbered in sorted point order, and
         edges the cell sides as ascending (i, j) pairs in sorted order.
         Unit axis-parallel sides meet only at corners, so the drawing is
         planar, and each rotation is the present neighbours in east,
-        north, west, south order, which is what `_ccw_sort` returns for
-        them.  The result equals `PlanarEmbedding(g.coords, g.edges)`.
+        north, west, south order, the order of their direction keys in
+        `_check_planarity`.  The result equals
+        `PlanarEmbedding(g.coords, g.edges)`.
         """
         cells = {(x, y) for x, y in cells}
         # (x, y) is in `across` when the side to (x + 1, y) exists (a cell
@@ -112,11 +111,11 @@ class PlanarEmbedding:
             raise PggParseError("graph is disconnected")
         self.rotation = rotation
 
-    def _validate(self):
+    def _validate(self) -> Dict[int, List[int]]:
         """Check the drawing: known endpoints, no self-loop, duplicate edge
-        or shared position, and planarity.  An error about one edge names
-        its index as `edge`; unknown endpoints are reported before any
-        self-loop or duplicate."""
+        or shared position, and planarity; return the rotation.  An error
+        about one edge names its index as `edge`; unknown endpoints are
+        reported before any self-loop or duplicate."""
         for i, (u, v) in enumerate(self.edges):
             for w in (u, v):
                 if w not in self.coords:
@@ -135,36 +134,45 @@ class PlanarEmbedding:
                 raise PggParseError(
                     f"vertices {positions[p]} and {vid} share position {p}")
             positions[p] = vid
-        self._check_planarity()
+        return self._check_planarity()
 
-    def _check_planarity(self):
+    def _check_planarity(self) -> Dict[int, List[int]]:
         """Reject overlapping or crossing edges and vertices on foreign
-        edges.
+        edges; return the rotation.
 
-        Positions are distinct, so two edges at a common vertex overlap
-        exactly when they leave it in the same heading, the direction
-        (dx // g, dy // g) with g = gcd(dx, dy); one pass keyed by
-        (vertex, heading) finds every such pair.  Edges with no common
-        endpoint are bucketed into square cells whose side is the longest
-        edge extent, so each segment's bounding box touches at most four
-        cells and only segments sharing a cell are compared, in ascending
-        (i, j) order until a pair crosses or passes the smallest heading
-        collision.  The smaller of the two is reported.  Then each vertex,
-        in the order of `coords`, is tested against the edges of its own
-        cell in edge order, so the first error is the one a scan of all
-        pairs would report.
+        Each edge is filed under both ends by the exact key of its
+        direction there, counterclockwise from east: `(0, 0)` east,
+        `(1, -dx/dy)` for dy > 0, `(2, 0)` west and `(3, -dx/dy)` for
+        dy < 0, the slope a `Fraction`.  Sorting a vertex's entries by key
+        and edge index gives its rotation.  Positions are distinct, so two
+        edges at a common vertex overlap exactly when they leave it on
+        the same key, and the first two entries of a run of equal keys
+        are its smallest (i, j).  Edges with no common endpoint are
+        bucketed into square cells whose side is the longest edge extent,
+        so each segment's bounding box touches at most four cells and only
+        segments sharing a cell are compared, in ascending (i, j) order
+        until a pair crosses or passes the smallest overlap.  The smaller
+        of the two is reported.  Then each vertex, in the order of
+        `coords`, is tested against the edges of its own cell in edge
+        order, so the first error is the one a scan of all pairs would
+        report.
         """
         edges = self.edges
         segs = [(self.coords[u], self.coords[v]) for u, v in edges]
-        best = None
-        first_leaving: Dict[Tuple[int, int, int], int] = {}
-        for j, ((u, v), (a, b)) in enumerate(zip(edges, segs)):
+        leaving: Dict[int, List[tuple]] = {v: [] for v in self.coords}
+        for i, ((u, v), (a, b)) in enumerate(zip(edges, segs)):
             dx, dy = b[0] - a[0], b[1] - a[1]
-            g = math.gcd(dx, dy)
-            dx, dy = dx // g, dy // g
-            for key in ((u, dx, dy), (v, -dx, -dy)):
-                i = first_leaving.setdefault(key, j)
-                if i != j and (best is None or (i, j) < best):
+            if dy:
+                half, slope = (1 if dy > 0 else 3), Fraction(-dx, dy)
+            else:
+                half, slope = (0 if dx > 0 else 2), 0
+            leaving[u].append(((half, slope), i, v))
+            leaving[v].append((((half + 2) % 4, slope), i, u))
+        best = None
+        for entries in leaving.values():
+            entries.sort()
+            for (key, i, _), (key2, j, _) in zip(entries, entries[1:]):
+                if key == key2 and (best is None or (i, j) < best):
                     best = (i, j)
         side = max([1] + [max(abs(a[0] - b[0]), abs(a[1] - b[1]))
                           for a, b in segs])
@@ -205,27 +213,8 @@ class PlanarEmbedding:
                 if geometry.on_segment(p, *segs[i]):
                     raise PggParseError(
                         f"vertex {vid} lies on edge {u} {v}")
-
-    def _ccw_sort(self, v: int, neighbours: Iterable[int]) -> List[int]:
-        ox, oy = self.coords[v]
-
-        def compare(a: int, b: int) -> int:
-            ax, ay = self.coords[a]
-            bx, by = self.coords[b]
-            da = (ax - ox, ay - oy)
-            db = (bx - ox, by - oy)
-            ha = 0 if (da[1] > 0 or (da[1] == 0 and da[0] > 0)) else 1
-            hb = 0 if (db[1] > 0 or (db[1] == 0 and db[0] > 0)) else 1
-            if ha != hb:
-                return ha - hb
-            c = da[0] * db[1] - da[1] * db[0]
-            if c > 0:
-                return -1
-            if c < 0:
-                return 1
-            return 0
-
-        return sorted(neighbours, key=functools.cmp_to_key(compare))
+        return {v: [w for _, _, w in entries]
+                for v, entries in leaving.items()}
 
     # -- basic queries -------------------------------------------------------
 
@@ -396,52 +385,50 @@ class FaceBasis:
 def trace_faces(g: PlanarEmbedding) -> FaceBasis:
     """Trace all faces by rotation-system walking.
 
-    Bounded faces come out as counterclockwise simple cycles; the unique
-    clockwise (negative area) orbit is the outer face and is kept aside.
-    The basis size always equals |E| - |V| + 1.
+    The dart u->v is followed by v->w, where w comes just before u in
+    `rotation[v]`; one map takes each dart to that w and to its edge id,
+    read from the incident-edge masks.  Orbits start from the darts in
+    sorted order.  Bounded faces come out as counterclockwise simple
+    cycles; the unique clockwise (negative area) orbit is the outer face
+    and is kept aside.  The basis size always equals |E| - |V| + 1, and
+    a tree, which has no bounded face, is rejected before tracing.
     """
-    darts = sorted(
-        [(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges])
-    unused = set(darts)
-    orbits: List[List[int]] = []
-    for dart in darts:
-        if dart not in unused:
-            continue
-        walk = []
-        u, v = dart
-        while (u, v) in unused:
-            unused.discard((u, v))
-            walk.append(u)
-            rot = g.rotation[v]
-            u, v = v, rot[(rot.index(u) - 1) % len(rot)]
-        orbits.append(walk)
+    expected = g.size - g.order + 1
+    if expected == 0:
+        raise EmbeddingError("graph has no bounded face")
+    masks = g.incident_edge_masks
+    step: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    for v, rot in g.rotation.items():
+        for k, u in enumerate(rot):
+            step[u, v] = rot[k - 1], (masks[u] & masks[v]).bit_length() - 1
     bounded: List[Face] = []
-    outer = None
-    for walk in orbits:
-        poly = [g.coords[w] for w in walk]
-        area2 = geometry.signed_area2(poly)
-        if area2 < 0:
+    outer = outer_edges = None
+    for dart in sorted(step):
+        if dart not in step:
+            continue
+        walk: List[int] = []
+        edge_ids: Set[int] = set()
+        u, v = dart
+        while (u, v) in step:
+            w, eid = step.pop((u, v))
+            walk.append(u)
+            edge_ids.add(eid)
+            u, v = v, w
+        if geometry.signed_area2([g.coords[x] for x in walk]) < 0:
             if outer is not None:
                 raise EmbeddingError("multiple outer faces traced")
-            outer = walk
+            outer, outer_edges = walk, edge_ids
             continue
         if len(set(walk)) != len(walk):
             raise EmbeddingError(
                 f"bounded face walk revisits a vertex: {walk}")
-        edge_ids = frozenset(
-            g.edge_id(walk[i], walk[(i + 1) % len(walk)])
-            for i in range(len(walk)))
-        bounded.append(Face(edges=edge_ids, cycle=tuple(walk)))
+        bounded.append(Face(edges=frozenset(edge_ids), cycle=tuple(walk)))
     if outer is None:
         raise EmbeddingError("no outer face traced")
-    expected = g.size - g.order + 1
     if len(bounded) != expected:
         raise EmbeddingError(
             f"traced {len(bounded)} bounded faces, expected {expected}")
-    outer_edges = frozenset(
-        g.edge_id(outer[i], outer[(i + 1) % len(outer)])
-        for i in range(len(outer)))
-    return FaceBasis(faces=tuple(bounded), outer_edges=outer_edges,
+    return FaceBasis(faces=tuple(bounded), outer_edges=frozenset(outer_edges),
                      outer_walk=tuple(outer))
 
 

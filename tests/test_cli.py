@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from polygrid import decide, fixtures, write_pgg
+from polygrid import PlanarEmbedding, decide, fixtures, write_pgg
 from polygrid.cli import main
 from polygrid.oracle import gen_grid
 
@@ -74,6 +74,15 @@ def test_grinberg_bad_limit_exit_3(pgg, capsys):
         assert code == 3, argv
         assert out == ""
         assert "error: limit must be >= 1" in err
+
+
+def test_decide_on_a_tree_exit_3(pgg, capsys):
+    path = PlanarEmbedding({1: (0, 0), 2: (1, 0), 3: (2, 0)},
+                           [(1, 2), (2, 3)], name="path3")
+    code, out, err = run(capsys, "decide", pgg(path))
+    assert code == 3
+    assert out == ""
+    assert err == "error: graph has no bounded face\n"
 
 
 def test_bad_max_cx_exit_3(pgg, capsys):

@@ -1,12 +1,17 @@
 import itertools
+import math
+import re
 
 import pytest
 
 from polygrid import (PggParseError, classify_edge_set, enclosed_faces,
                       fixtures, is_hamilton_cycle, parse_pgg, sym_diff,
                       sym_diff_all, trace_faces, write_pgg)
-from polygrid.embedding import EmbeddingError, cycle_vertex_walk
+from polygrid.embedding import (EmbeddingError, PlanarEmbedding,
+                                cycle_vertex_walk)
 from polygrid.oracle import enumerate_polyominoes, gen_grid, hamilton_oracle
+
+from embedding_reference import rotation_reference
 
 SQUARE_PGG = """\
 graph square
@@ -179,6 +184,45 @@ def test_rotation_is_ccw_angular_order(grid3):
         shifted = angles[angles.index(min(angles)):] + \
             angles[:angles.index(min(angles))]
         assert shifted == sorted(shifted)
+
+
+def test_rotation_is_exact_for_nearly_equal_slopes():
+    # The first two neighbours leave the origin at slopes 1 + 1/10**18 and
+    # 1 + 1/(10**18 + 1), which atan2 cannot tell apart.
+    coords = {0: (0, 0), 1: (10 ** 18, 10 ** 18 + 1),
+              2: (10 ** 18 + 1, 10 ** 18 + 2), 3: (-1, 0), 4: (0, -1)}
+    assert math.atan2(*coords[1][::-1]) == math.atan2(*coords[2][::-1])
+    g = PlanarEmbedding(coords, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    assert g.rotation[0] == [2, 1, 3, 4]
+    assert g.rotation == rotation_reference(g)
+
+
+@pytest.mark.parametrize("side, inner, inner_edges, walk", [
+    # A pendant edge from a corner into the square.
+    (2, {5: (1, 1)}, [(1, 5)], [1, 2, 3, 4, 1, 5]),
+    # A unit square hung from a corner by the edge 1-5.
+    (4, {5: (1, 1), 6: (2, 1), 7: (2, 2), 8: (1, 2)},
+     [(5, 6), (6, 7), (7, 8), (8, 5), (1, 5)],
+     [1, 2, 3, 4, 1, 5, 8, 7, 6, 5]),
+])
+def test_trace_rejects_a_face_walk_that_revisits_a_vertex(side, inner,
+                                                          inner_edges, walk):
+    coords = {1: (0, 0), 2: (side, 0), 3: (side, side), 4: (0, side)}
+    g = PlanarEmbedding({**coords, **inner},
+                        [(1, 2), (2, 3), (3, 4), (4, 1)] + inner_edges)
+    with pytest.raises(EmbeddingError, match=re.escape(
+            f"bounded face walk revisits a vertex: {walk}")):
+        trace_faces(g)
+
+
+def test_trace_rejects_a_tree():
+    for coords, edges in (({1: (0, 0)}, []),
+                          ({1: (0, 0), 2: (1, 0)}, [(1, 2)]),
+                          ({1: (0, 0), 2: (1, 0), 3: (2, 0)},
+                           [(1, 2), (2, 3)])):
+        with pytest.raises(EmbeddingError,
+                           match="^graph has no bounded face$"):
+            trace_faces(PlanarEmbedding(coords, edges))
 
 
 def test_edge_id_finds_each_edge_from_either_end():

@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 from polygrid import trace_faces
 from polygrid import geometry
-from polygrid.embedding import (PggParseError, PlanarEmbedding, sym_diff,
-                                sym_diff_all)
+from polygrid.embedding import (EmbeddingError, PggParseError,
+                                PlanarEmbedding, sym_diff, sym_diff_all)
 from polygrid.grinberg import (GrinbergEquation, count_solutions, solvable,
                                solve)
 from polygrid.oracle import (cells_to_embedding, enumerate_polyominoes,
                              gen_grid, hamilton_oracle)
 from polygrid.structure import BasisGraph
 
+from embedding_reference import rotation_reference, trace_faces_reference
 from oracle_reference import set_reference_oracle
 
 edge_sets = st.frozensets(st.integers(min_value=0, max_value=40),
@@ -257,3 +258,86 @@ def test_bucketed_planarity_matches_pairwise_scan(drawing):
     g.coords, g.edges = coords, edges
     assert _error(g._check_planarity) == _error(
         lambda: _pairwise_planarity(coords, edges))
+
+
+def _trace(g, tracer):
+    try:
+        return tracer(g)
+    except EmbeddingError as exc:
+        return str(exc)
+
+
+def assert_matches_reference(g):
+    """g has the comparator-sorted rotation, and traces to the reference
+    faces or fails with the reference error; a tree fails up front."""
+    assert list(g.rotation.items()) == list(rotation_reference(g).items())
+    got = _trace(g, trace_faces)
+    if g.size - g.order + 1 == 0:
+        assert got == "graph has no bounded face"
+    else:
+        assert got == _trace(g, trace_faces_reference)
+
+
+@given(drawings())
+@settings(max_examples=300)
+def test_rotation_and_faces_match_reference(drawing):
+    # Most drawings cross somewhere; every planar one is checked for its
+    # rotation, and every connected planar one is traced.
+    coords, edges = drawing
+    g = object.__new__(PlanarEmbedding)
+    g.coords, g.edges = coords, edges
+    try:
+        rotation = g._check_planarity()
+    except PggParseError:
+        return
+    assert list(rotation.items()) == list(rotation_reference(g).items())
+    try:
+        g = PlanarEmbedding(coords, edges)
+    except PggParseError:
+        return
+    assert_matches_reference(g)
+
+
+@st.composite
+def plane_drawings(draw):
+    """Touching unit cells drawn three times larger, some split by a
+    diagonal and some with an inner point joined to one or more of their
+    corners: planar and connected by construction, with slopes off the
+    axes, and with pendant edges whose face walk revisits a vertex."""
+    cells = draw(touching_cells())
+    g = cells_to_embedding(cells, "plane")
+    ids = {p: v for v, p in g.coords.items()}
+    coords = {v: (3 * x, 3 * y) for v, (x, y) in g.coords.items()}
+    edges = list(g.edges)
+    for x, y in sorted(set(cells)):
+        corners = [ids[x + dx, y + dy]
+                   for dx, dy in ((0, 0), (1, 0), (1, 1), (0, 1))]
+        kind = draw(st.sampled_from(["none", "diagonal", "star"]))
+        if kind == "diagonal":
+            k = draw(st.integers(0, 1))
+            edges.append((corners[k], corners[k + 2]))
+        elif kind == "star":
+            inner = len(coords)
+            coords[inner] = (3 * x + draw(st.integers(1, 2)),
+                             3 * y + draw(st.integers(1, 2)))
+            for c in draw(st.lists(st.sampled_from(corners), min_size=1,
+                                   max_size=4, unique=True)):
+                edges.append(draw(st.sampled_from([(inner, c), (c, inner)])))
+    return coords, draw(st.permutations(edges))
+
+
+@given(plane_drawings())
+@settings(max_examples=150)
+def test_plane_drawings_match_reference(drawing):
+    coords, edges = drawing
+    assert_matches_reference(PlanarEmbedding(coords, edges))
+
+
+def test_lattices_match_reference():
+    graphs = list(enumerate_polyominoes(6))
+    graphs += [gen_grid(5, 6, [(1, 1), (1, 3)]),
+               gen_grid(6, 6, [(1, 2), (3, 2)]),
+               gen_grid(6, 6, [(1, 1), (2, 1), (2, 2)]),
+               gen_grid(7, 5, [(1, 1), (2, 1), (1, 2), (4, 1), (4, 2)])]
+    for g in graphs:
+        assert_matches_reference(PlanarEmbedding(g.coords, g.edges, g.name))
