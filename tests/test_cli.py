@@ -167,6 +167,20 @@ def test_oracle_json(pgg, capsys):
     assert payload["timedOut"] is False
 
 
+def test_oracle_text_outcomes(pgg, capsys):
+    # One run for each outcome: a cycle found, none (the search ran to the
+    # end) and a budget too small to tell.
+    for argv, text in (
+            ((pgg(fixtures.square()),),
+             "graph square: Hamilton cycle found (4 nodes)\n"
+             "  0-1 0-2 1-3 2-3\n"),
+            ((pgg(fixtures.grid3()),),
+             "graph grid3: no Hamilton cycle (11 nodes, exact)\n"),
+            ((pgg(fixtures.grid4()), "--budget", "3"),
+             "graph grid4: timed out after 4 nodes\n")):
+        assert run(capsys, "oracle", *argv) == (0, text, ""), argv
+
+
 def test_oracle_too_deep_exit_3(tmp_path, capsys):
     # The oracle recurses once per path vertex; a 1040-vertex strip is
     # past Python's default recursion limit.

@@ -15,7 +15,11 @@ dumbbell and two blocks joined by a bridge.  It was re-recorded when hole
 contexts were cut down to `x`, `C_x` and `C_k`: `holes --json` lost the
 `cxe`, `ce` and `cv` keys of each context, which no verdict reads, and
 the old stream with those keys dropped equals the new one byte for byte.
-No verdict changed.
+No verdict changed.  The CLI text digest is of the exit code, stdout and
+stderr of all six report subcommands in text mode (`subbases` with and
+without `--reduce`), and of `grinberg --json` and `oracle --json`, over
+the same graphs; it was recorded before the subcommands shared one report
+path.
 """
 
 import hashlib
@@ -41,6 +45,9 @@ DECOMPOSE_SHA256 = (
 
 CLI_JSON_SHA256 = (
     "8f8c2d0376563c51e3ddf3f31fc9af60480221120e29c5cc72035ba5045f011a")
+
+CLI_TEXT_SHA256 = (
+    "439de8ac916c294a4e648a25f53bc4b792de71132c93b96b2dd9777cb97616d5")
 
 ORACLE_SHA256 = (
     "af2b8e13641a40a84f08b973bbc1941f4ac5410643a2dea23f14b83dec31b5c8")
@@ -103,20 +110,41 @@ def test_oracle_search_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_SHA256
 
 
-def test_cli_json_digest(bridged_blocks, tmp_path, capsys):
-    graphs = (list(enumerate_polyominoes(6))
-              + [make() for make in fixtures.ALL.values()]
-              + [gen_grid(5, 5, [(1, 1), (2, 1)]),
-                 gen_grid(5, 6, [(1, 1), (2, 1)]),
-                 gen_grid(6, 5, [(1, 1), (2, 1), (2, 2)]),
-                 _dumbbell(), bridged_blocks])
-    commands = (["classify"], ["subbases", "--reduce"], ["holes"], ["decide"])
+def _cli_digest(graphs, commands, tmp_path, capsys, suffix=()):
+    """Digest of the exit code, stdout and stderr of `command FILE suffix`
+    for each command on each graph."""
     path = tmp_path / "g.pgg"
     digest = hashlib.sha256()
     for g in graphs:
         path.write_text(write_pgg(g))
         for command in commands:
-            code = main(command + [str(path), "--json"])
+            code = main(command + [str(path), *suffix])
             digest.update(f"{g.name} {command} {code}\n".encode())
-            digest.update(capsys.readouterr().out.encode())
-    assert digest.hexdigest() == CLI_JSON_SHA256
+            captured = capsys.readouterr()
+            digest.update(captured.out.encode())
+            digest.update(captured.err.encode())
+    return digest.hexdigest()
+
+
+@pytest.fixture
+def cli_graphs(bridged_blocks):
+    return (list(enumerate_polyominoes(6))
+            + [make() for make in fixtures.ALL.values()]
+            + [gen_grid(5, 5, [(1, 1), (2, 1)]),
+               gen_grid(5, 6, [(1, 1), (2, 1)]),
+               gen_grid(6, 5, [(1, 1), (2, 1), (2, 2)]),
+               _dumbbell(), bridged_blocks])
+
+
+def test_cli_json_digest(cli_graphs, tmp_path, capsys):
+    commands = (["classify"], ["subbases", "--reduce"], ["holes"], ["decide"])
+    assert _cli_digest(cli_graphs, commands, tmp_path, capsys,
+                       suffix=["--json"]) == CLI_JSON_SHA256
+
+
+def test_cli_text_digest(cli_graphs, tmp_path, capsys):
+    commands = [["classify"], ["grinberg"], ["holes"], ["decide"],
+                ["subbases"], ["subbases", "--reduce"], ["oracle"],
+                ["grinberg", "--json"], ["oracle", "--json"]]
+    assert _cli_digest(cli_graphs, commands, tmp_path, capsys) == \
+        CLI_TEXT_SHA256
