@@ -310,6 +310,10 @@ def parse_pgg(text: str) -> PlanarEmbedding:
 
 
 def write_pgg(g: PlanarEmbedding) -> str:
+    # parse_pgg reads the name as one whitespace-free token before any `#`.
+    if not g.name or any(c.isspace() or c == "#" for c in g.name):
+        raise ValueError(f"graph name {g.name!r} cannot be written to .pgg "
+                         f"(empty, or holds whitespace or '#')")
     lines = [f"graph {g.name}"]
     for vid in sorted(g.coords):
         x, y = g.coords[vid]

@@ -108,8 +108,11 @@ def hamilton_oracle(g: PlanarEmbedding, budget: int = 10 ** 6) -> OracleResult:
     """Exact Hamilton-cycle search; never returns a wrong answer.
 
     `budget` counts backtracking nodes; when exceeded the result is marked
-    timed out with no claim either way.
+    timed out with no claim either way.  A budget below 1 would search
+    nothing and is a ValueError.
     """
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     n = g.order
     vertices = sorted(g.coords)
     if n < 3 or any(g.degree(v) < 2 for v in vertices):

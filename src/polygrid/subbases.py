@@ -234,9 +234,6 @@ def reduce_to_Gg(g: PlanarEmbedding,
 
 
 def _substitute_regions(g: PlanarEmbedding, regions) -> PlanarEmbedding:
-    if not regions:
-        return PlanarEmbedding(dict(g.coords), list(g.edges),
-                               name=f"{g.name}-reduced")
     drop_vertices: Set[int] = set()
     drop_edges: Set[int] = set()
     for _, walk, internal, _ in regions:

@@ -227,10 +227,28 @@ def test_gen_malformed_holes_name_the_cell(capsys):
         assert err == f"error: bad hole cell {chunk} (want x,y)\n"
 
 
-def test_missing_file_exit_3(capsys):
-    code, _, err = run(capsys, "decide", "/nonexistent/nope.pgg")
-    assert code == 3
-    assert "error:" in err
+def test_missing_file_exit_3(tmp_path, capsys):
+    # A path that does not exist, or a directory where a file is read or
+    # written, is an input error, not a traceback.
+    for argv in (("decide", "/nonexistent/nope.pgg"),
+                 ("decide", str(tmp_path)),
+                 ("classify", str(tmp_path), "--json"),
+                 ("compare", "--polyominoes", "1", "--out", str(tmp_path))):
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bad_budget_exit_3(pgg, capsys):
+    path = pgg(fixtures.grid3())
+    for argv in (("oracle", path, "--budget", "0"),
+                 ("oracle", path, "--budget", "-1", "--json"),
+                 ("compare", "--polyominoes", "3", "--budget", "0")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert out == ""
+        assert err == "error: budget must be >= 1\n"
 
 
 def test_compare_deterministic_output(tmp_path, capsys):

@@ -10,6 +10,7 @@ from polygrid import (PggParseError, classify_edge_set, enclosed_faces,
 from polygrid.embedding import (EmbeddingError, PlanarEmbedding,
                                 cycle_vertex_walk)
 from polygrid.oracle import enumerate_polyominoes, gen_grid, hamilton_oracle
+from polygrid.subbases import reduce_to_Gg
 
 from embedding_reference import rotation_reference
 
@@ -148,6 +149,24 @@ def test_write_roundtrip(grid4):
     again = parse_pgg(write_pgg(grid4))
     assert again.coords == grid4.coords
     assert set(map(frozenset, again.edges)) == set(map(frozenset, grid4.edges))
+
+
+def test_write_rejects_names_parse_cannot_read(square):
+    # parse_pgg reads the name as one token before any `#`: "my square"
+    # would not parse again and "sq#1" would read back as "sq".
+    for name in ("my square", "sq#1", "", "tab\tname"):
+        g = PlanarEmbedding(square.coords, square.edges, name=name)
+        with pytest.raises(ValueError, match="cannot be written to .pgg"):
+            write_pgg(g)
+
+
+def test_generator_and_fixture_names_roundtrip():
+    graphs = ([make() for make in fixtures.ALL.values()]
+              + list(enumerate_polyominoes(4))
+              + [gen_grid(4, 5), gen_grid(6, 6, [(1, 1), (1, 2)]),
+                 reduce_to_Gg(gen_grid(6, 5)).embedding])
+    for g in graphs:
+        assert parse_pgg(write_pgg(g)).name == g.name
 
 
 def test_trace_square(square):

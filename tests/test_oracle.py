@@ -52,6 +52,17 @@ def test_oracle_budget_timeout():
     assert res.nodes_explored >= 3
 
 
+def test_oracle_budget_below_1_rejected(square):
+    # A budget below 1 would search no node, yet report a timeout.  The
+    # check comes before the early exits, so a path graph raises too.
+    path = PlanarEmbedding({0: (0, 0), 1: (1, 0), 2: (2, 0)},
+                           [(0, 1), (1, 2)], name="path3")
+    for g in (square, path):
+        for budget in (0, -5):
+            with pytest.raises(ValueError, match="budget must be >= 1"):
+                hamilton_oracle(g, budget=budget)
+
+
 def test_oracle_relabeling_invariance(grid4):
     # The answer must not depend on vertex numbering.
     a = hamilton_oracle(grid4)

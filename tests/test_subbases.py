@@ -97,6 +97,11 @@ def test_reduce_reports_failed_region():
     # the record is reported instead of substituted.
     assert red.failed == (0,)
     assert red.substitutions == ()
+    # With nothing substituted, G_g is the input graph renamed.
+    assert red.embedding.coords == g.coords
+    assert list(red.embedding.edges) == list(g.edges)
+    assert red.embedding.rotation == g.rotation
+    assert red.embedding.name == "grid5x5-reduced"
 
 
 def test_reduce_with_subdivision():
