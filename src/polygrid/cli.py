@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -206,14 +207,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    graphs = list(enumerate_polyominoes(args.polyominoes))
+    # `--out` is opened, and `compare` checks the budget, before the first
+    # polyomino is built, so either error comes at once rather than after
+    # the audit.
     save = Path(args.save_candidates) if args.save_candidates else None
-    report = compare(graphs, budget=args.budget, save_dir=save)
-    text = report_json(report)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+        report = compare(enumerate_polyominoes(args.polyominoes),
+                         budget=args.budget, save_dir=save)
+        out.write(report_json(report))
     totals = report.totals
     print(f"# graphs={totals['graphs']} agree={totals['agree']} "
           f"disagree={totals['disagree']} "

@@ -20,7 +20,16 @@ soon as it reaches the others, which usually takes two steps around a
 lattice cell, and goes on over the whole set only when they are not
 joined there.  Candidates are tried in ascending id order (forced partners
 first), which fixes the search tree and so `nodes_explored`; testing once
-per node prunes exactly the steps that testing each step would.  The
+per node prunes exactly the steps that testing each step would.
+
+A node's outcome depends only on its state, the current vertex and the
+unvisited set (the end-vertex/visited-set state of Bellman's and Held and
+Karp's Hamiltonian-path DP), so each search keeps a table of the states
+whose subtree failed, with that subtree's node count.  A state met again
+adds the recorded count and fails without expanding: `nodes_explored` and
+the budget count the plain search tree, so both stay independent of the
+machine and of the table, and only a failed subtree is ever skipped, so
+the first cycle found is the same.  The table lives for one call.  The
 search recurses once per path vertex, so a graph of about
 `sys.getrecursionlimit()` vertices raises `RecursionError`.
 
@@ -107,32 +116,46 @@ class _Budget(Exception):
 def hamilton_oracle(g: PlanarEmbedding, budget: int = 10 ** 6) -> OracleResult:
     """Exact Hamilton-cycle search; never returns a wrong answer.
 
-    `budget` counts backtracking nodes; when exceeded the result is marked
-    timed out with no claim either way.  A budget below 1 would search
-    nothing and is a ValueError.
+    `budget` counts the nodes of the plain backtracking tree; when they
+    exceed it the result is marked timed out, with `budget + 1` nodes and
+    no claim either way.  A state already refuted in this call adds the
+    node count its subtree took then, so `nodes_explored` and the cut-off
+    are those of the search without the table.  A budget below 1 would
+    search nothing and is a ValueError.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     n = g.order
-    vertices = sorted(g.coords)
-    if n < 3 or any(g.degree(v) < 2 for v in vertices):
+    if n < 3:
         return OracleResult(None, 0, False)
-    # Bit i of every mask stands for vertices[i], so ascending bits are
-    # ascending vertex ids and vertex 0 is the start.
-    index = {v: i for i, v in enumerate(vertices)}
-    adj = [sum(1 << index[w] for w in g.rotation[v]) for v in vertices]
-    # Degree-2 vertices force both incident edges into any Hamilton cycle.
-    forced = [0] * n
+    # Bit i of every mask stands for the i-th smallest vertex id, so
+    # ascending bits are ascending ids and bit 0 is the start.
+    rotation = g.rotation
+    vertices = sorted(rotation)
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    adj = []
+    twos = 0
     for v in vertices:
-        if g.degree(v) == 2:
-            i = index[v]
-            for w in g.rotation[v]:
-                forced[i] |= 1 << index[w]
-                forced[index[w]] |= 1 << i
+        around = rotation[v]
+        if len(around) < 2:
+            return OracleResult(None, 0, False)
+        mask = 0
+        for w in around:
+            mask |= bit[w]
+        adj.append(mask)
+        if len(around) == 2:
+            twos |= bit[v]
+    # Degree-2 vertices force both incident edges into any Hamilton cycle:
+    # all of a degree-2 vertex's neighbours, and a vertex's degree-2 ones.
+    forced = [a if twos >> i & 1 else a & twos for i, a in enumerate(adj)]
     if any(f.bit_count() > 2 for f in forced):
         return OracleResult(None, 0, False)
     nodes = 0
-    path = [0]
+    path = []
+    # Failed states: `unvisited << shift | current` -> the node count of
+    # the subtree that refuted it.
+    failed = {}
+    shift = n.bit_length()
 
     def joined(targets: int, within: int) -> bool:
         # Flood over `within` from the lowest bit of `targets`, stopping as
@@ -152,6 +175,17 @@ def hamilton_oracle(g: PlanarEmbedding, budget: int = 10 ** 6) -> OracleResult:
 
     def extend(current: int, unvisited: int) -> bool:
         nonlocal nodes
+        key = unvisited << shift | current
+        known = failed.get(key)
+        if known is not None:
+            # The plain search would expand the same subtree again and
+            # fail after the same nodes.
+            nodes += known
+            if nodes > budget:
+                nodes = budget + 1
+                raise _Budget
+            return False
+        first = nodes
         nodes += 1
         if nodes > budget:
             raise _Budget
@@ -190,21 +224,26 @@ def hamilton_oracle(g: PlanarEmbedding, budget: int = 10 ** 6) -> OracleResult:
             low = candidates & -candidates
             candidates ^= low
             w = low.bit_length() - 1
-            path.append(w)
             if extend(w, unvisited ^ low):
+                path.append(w)
                 return True
-            path.pop()
+        failed[key] = nodes - first
         return False
 
     try:
         found = extend(0, (1 << n) - 2)
     except _Budget:
         return OracleResult(None, nodes, True)
+    finally:
+        # `extend` reaches itself through its closure; dropping the name
+        # frees the table now instead of at the next cyclic collection.
+        del extend
     if not found:
         return OracleResult(None, nodes, False)
+    # `path` holds the cycle's vertices after the start, last first.
+    path.append(0)
     cycle = frozenset(
-        g.edge_id(vertices[path[i]], vertices[path[(i + 1) % n]])
-        for i in range(n))
+        g.edge_id(vertices[path[i - 1]], vertices[path[i]]) for i in range(n))
     assert is_hamilton_cycle(cycle, g)
     return OracleResult(cycle, nodes, False)
 
@@ -284,8 +323,11 @@ def compare(graphs: Iterable[PlanarEmbedding], budget: int = 10 ** 6,
 
     A NoSolution verdict against an oracle cycle would falsify the trusted
     Grinberg necessity and is a hard assertion; disagreements on claw/hole
-    logic are recorded and persisted, never asserted away.
+    logic are recorded and persisted, never asserted away.  A budget below
+    1 is a ValueError before the first graph is decided.
     """
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     rows: List[ComparisonRow] = []
     candidates: List[str] = []
     for g in graphs:

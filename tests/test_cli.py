@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from polygrid import PlanarEmbedding, decide, fixtures, write_pgg
+from polygrid import PlanarEmbedding, cli, decide, fixtures, write_pgg
 from polygrid.cli import main
 from polygrid.oracle import gen_grid
 
@@ -238,6 +238,33 @@ def test_missing_file_exit_3(tmp_path, capsys):
         assert code == 3, argv
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_compare_unwritable_out_exits_before_the_audit(tmp_path, capsys,
+                                                     monkeypatch):
+    # `--out` is opened first, so a directory there fails at once, even
+    # with the full 3792-graph corpus requested.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the audit ran before --out was opened")
+
+    monkeypatch.setattr(cli, "compare", refuse)
+    code, out, err = run(capsys, "compare", "--polyominoes", "8",
+                         "--out", str(tmp_path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_compare_bad_budget_exits_before_building_polyominoes(capsys,
+                                                              monkeypatch):
+    def unbuilt(max_faces):
+        raise AssertionError("a polyomino was built before the budget check")
+        yield
+
+    monkeypatch.setattr(cli, "enumerate_polyominoes", unbuilt)
+    code, out, err = run(capsys, "compare", "--polyominoes", "8",
+                         "--budget", "0")
+    assert (code, out, err) == (3, "", "error: budget must be >= 1\n")
 
 
 def test_bad_budget_exit_3(pgg, capsys):

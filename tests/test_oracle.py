@@ -3,11 +3,11 @@ import json
 
 import pytest
 
-from polygrid import trace_faces
+from polygrid import oracle, trace_faces
 from polygrid.embedding import (PlanarEmbedding, components, is_hamilton_cycle,
                                 parse_pgg)
-from polygrid.oracle import (GridGenError, cells_to_embedding, compare,
-                             enumerate_polyominoes, gen_grid,
+from polygrid.oracle import (GridGenError, OracleResult, cells_to_embedding,
+                             compare, enumerate_polyominoes, gen_grid,
                              hamilton_oracle, report_json)
 
 from oracle_reference import set_reference_oracle
@@ -61,6 +61,20 @@ def test_oracle_budget_below_1_rejected(square):
         for budget in (0, -5):
             with pytest.raises(ValueError, match="budget must be >= 1"):
                 hamilton_oracle(g, budget=budget)
+
+
+def test_oracle_every_budget_cuts_the_plain_tree():
+    # Both grids have odd order, so each search runs to the end; states
+    # refuted once come up again (44 times on 5x5, 12 on 3x9) and count
+    # their recorded subtree, so each cut-off, including one inside such a
+    # subtree, reports budget + 1 nodes as the plain search does.
+    for g, total in ((gen_grid(5, 5), 1045), (gen_grid(3, 9), 492)):
+        full = hamilton_oracle(g)
+        assert full == OracleResult(None, total, False), g.name
+        for budget in range(1, total + 2):
+            expected = (OracleResult(None, budget + 1, True)
+                        if budget < total else full)
+            assert hamilton_oracle(g, budget) == expected, (g.name, budget)
 
 
 def test_oracle_relabeling_invariance(grid4):
@@ -236,6 +250,16 @@ def test_compare_empty_stream():
     report = compare([])
     assert report.totals == {"graphs": 0, "agree": 0, "disagree": 0,
                              "inconclusive": 0}
+
+
+def test_compare_rejects_budget_below_1_before_deciding(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("decide ran before the budget was checked")
+
+    monkeypatch.setattr(oracle, "decide", refuse)
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            compare(enumerate_polyominoes(2), budget=budget)
 
 
 def test_report_json_deterministic():

@@ -120,11 +120,16 @@ def test_unit_cell_path_matches_validated():
         assert_matches_validated(g)
 
 
-@given(touching_cells(), st.integers(min_value=1, max_value=60))
+@given(touching_cells(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_oracle_matches_set_reference_random_shapes(cells, budget):
+def test_oracle_matches_set_reference_random_shapes(cells, data):
+    # The budget ranges over the whole search, so cut-offs also land
+    # inside the subtrees that the table of refuted states skips.
     g = cells_to_embedding(cells, "random")
-    assert hamilton_oracle(g) == set_reference_oracle(g)
+    full = hamilton_oracle(g)
+    assert full == set_reference_oracle(g)
+    budget = data.draw(st.integers(min_value=1,
+                                   max_value=max(1, full.nodes_explored)))
     assert hamilton_oracle(g, budget) == set_reference_oracle(g, budget)
 
 
