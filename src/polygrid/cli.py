@@ -207,13 +207,15 @@ def cmd_gen(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    # The polyomino size is checked when the generator is made, before
+    # `--out` is opened, so a bad size leaves an existing file as it was.
     # `--out` is opened, and `compare` checks the budget, before the first
     # polyomino is built, so either error comes at once rather than after
     # the audit.
+    polyominoes = enumerate_polyominoes(args.polyominoes)
     save = Path(args.save_candidates) if args.save_candidates else None
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
-        report = compare(enumerate_polyominoes(args.polyominoes),
-                         budget=args.budget, save_dir=save)
+        report = compare(polyominoes, budget=args.budget, save_dir=save)
         out.write(report_json(report))
     totals = report.totals
     print(f"# graphs={totals['graphs']} agree={totals['agree']} "

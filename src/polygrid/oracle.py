@@ -36,9 +36,17 @@ search recurses once per path vertex, so a graph of about
 Generators build holed grid graphs and all fixed polyominoes up to a size.
 Both are sets of unit cells, planar by construction, so they take the
 embedding's trusted lattice path, with no planarity scan and no angular
-sort; `.pgg` input is still validated in full.  `compare` runs the
-criterion and the oracle side by side and persists any disagreement as a
-`.pgg` candidate file.
+sort; `.pgg` input is still validated in full.  The polyominoes are
+grown by Redelmeier's method (Discrete Math. 36 (1981) 191-203): depth
+first from the anchor cell (0, 0), where a cell may join only if it
+comes after the anchor bottom row first, left to right (y > 0, or
+y == 0 and x > 0).  The anchor so stays the lowest-then-leftmost cell,
+and each new cell's sides are offered only if no earlier cell offered
+them, so every fixed polyomino is reached exactly once and nothing is
+de-duplicated.  Each shape is shifted by its minimum x to its sorted cell
+tuple; the shapes are yielded by size, each size in ascending tuple
+order, as `poly{k}_{i}`.  `compare` runs the criterion and the oracle
+side by side and persists any disagreement as a `.pgg` candidate file.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .embedding import (EdgeSet, PlanarEmbedding, is_hamilton_cycle,
                         trace_faces, write_pgg)
@@ -286,32 +294,79 @@ def gen_grid(m: int, n: int,
 
 
 def enumerate_polyominoes(max_faces: int) -> Iterator[PlanarEmbedding]:
-    """All fixed polyominoes with up to `max_faces` cells, canonical under
-    translation, in deterministic order, as lattice graphs."""
-    if max_faces > 10:
-        raise ValueError("desk scale only: max_faces <= 10")
-    shapes: List[Tuple[Tuple[int, int], ...]] = [((0, 0),)]
-    for k in range(1, max_faces + 1):
-        for i, shape in enumerate(sorted(shapes)):
+    """All fixed polyominoes with 1 to `max_faces` cells as lattice graphs.
+
+    Each shape's cells are translated so its minimum x and y are 0 and
+    sorted.  Shapes come by cell count, each count in ascending order of
+    these cell tuples, and the i-th of k cells is named `poly{k}_{i}`.  A
+    `max_faces` outside 1..10 is a ValueError here, at the call, not at
+    the first graph.
+    """
+    if not 1 <= max_faces <= 10:
+        raise ValueError("desk scale only: 1 <= max_faces <= 10")
+    return _polyomino_graphs(max_faces)
+
+
+def _polyomino_graphs(max_faces: int) -> Iterator[PlanarEmbedding]:
+    for k, shapes in enumerate(_fixed_polyominoes(max_faces), 1):
+        for i, shape in enumerate(shapes):
             yield cells_to_embedding(shape, name=f"poly{k}_{i}")
-        if k == max_faces:
-            break
-        grown: Set[Tuple[Tuple[int, int], ...]] = set()
-        for shape in shapes:
-            cells = set(shape)
-            for cx, cy in cells:
-                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    cell = (cx + dx, cy + dy)
-                    if cell in cells:
-                        continue
-                    grown.add(_canonical(cells | {cell}))
-        shapes = list(grown)
 
 
-def _canonical(cells: Set[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
-    min_x = min(c[0] for c in cells)
-    min_y = min(c[1] for c in cells)
-    return tuple(sorted((x - min_x, y - min_y) for x, y in cells))
+# A polyomino's cells, translated to minimum x and y 0 and sorted.
+Shape = Tuple[Tuple[int, int], ...]
+
+# The steps from a square cell to the cells across its four sides.
+_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _after_anchor(x: int, y: int) -> bool:
+    """Whether cell (x, y) comes after the anchor (0, 0), bottom row first
+    and left to right: the only cells a growth from the anchor takes."""
+    return y > 0 or (y == 0 and x > 0)
+
+
+def _fixed_polyominoes(max_cells: int) -> List[List[Shape]]:
+    """The sorted, translated cell tuples of every fixed polyomino of 1 to
+    `max_cells` cells, one ascending list per cell count.
+
+    Redelmeier's growth: `untried` holds the cells a shape may still take,
+    and `seen` every cell that has been offered to the shape, taken or not.
+    Taking a cell offers only its unseen neighbours after the anchor, so
+    no cell is offered twice along one branch and each shape is reached
+    once.  `cells`, the shape, and `seen` are undone on the way back.
+    """
+    by_size: List[List[Shape]] = [[] for _ in range(max_cells)]
+    cells: List[Tuple[int, int]] = []
+    seen = {(0, 0)}
+    # column[x][y] is the translated cell (x, y): one tuple per cell that
+    # every shape shares, a fifth of the memory of a tuple per shape cell.
+    column = [[(x, y) for y in range(max_cells)] for x in range(max_cells)]
+
+    def grow(untried: List[Tuple[int, int]]) -> None:
+        while untried:
+            cell = untried.pop()
+            cells.append(cell)
+            ordered = sorted(cells)
+            min_x = ordered[0][0]
+            by_size[len(cells) - 1].append(
+                tuple([column[x - min_x][y] for x, y in ordered]))
+            if len(cells) < max_cells:
+                x, y = cell
+                fresh = [nb for nb in [(x + dx, y + dy) for dx, dy in _STEPS]
+                         if nb not in seen and _after_anchor(*nb)]
+                seen.update(fresh)
+                grow(untried + fresh)
+                seen.difference_update(fresh)
+            cells.pop()
+
+    grow([(0, 0)])
+    # `grow` reaches itself through its closure; dropping the name frees
+    # it and the growth state now, not at the next cyclic collection.
+    del grow
+    for shapes in by_size:
+        shapes.sort()
+    return by_size
 
 
 # -- criterion-vs-oracle audit ----------------------------------------------

@@ -267,6 +267,20 @@ def test_compare_bad_budget_exits_before_building_polyominoes(capsys,
     assert (code, out, err) == (3, "", "error: budget must be >= 1\n")
 
 
+def test_compare_bad_size_exit_3_and_keeps_out(tmp_path, capsys):
+    # The size is checked before `--out` is opened, so an existing report
+    # is left as it was, and a size that would audit nothing is an error.
+    report = tmp_path / "report.json"
+    report.write_text("kept\n")
+    for size in ("0", "-3", "11"):
+        code, out, err = run(capsys, "compare", "--polyominoes", size,
+                             "--out", str(report))
+        assert code == 3, size
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, size
+        assert report.read_text() == "kept\n", size
+
+
 def test_bad_budget_exit_3(pgg, capsys):
     path = pgg(fixtures.grid3())
     for argv in (("oracle", path, "--budget", "0"),

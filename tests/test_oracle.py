@@ -1,5 +1,7 @@
+import gc
 import itertools
 import json
+import tracemalloc
 
 import pytest
 
@@ -11,6 +13,7 @@ from polygrid.oracle import (GridGenError, OracleResult, cells_to_embedding,
                              hamilton_oracle, report_json)
 
 from oracle_reference import set_reference_oracle
+from polyomino_reference import enumerate_polyominoes_reference
 
 
 def relabeled(g: PlanarEmbedding, f) -> PlanarEmbedding:
@@ -221,8 +224,41 @@ def test_polyomino_names_deterministic():
 
 
 def test_polyomino_size_cap():
-    with pytest.raises(ValueError):
-        list(enumerate_polyominoes(11))
+    # Checked at the call, before any graph is asked for.
+    for max_faces in (11, 0, -3):
+        with pytest.raises(ValueError):
+            enumerate_polyominoes(max_faces)
+
+
+def test_polyominoes_match_reference():
+    # Redelmeier's growth against the level-by-level grow, translate and
+    # de-duplicate enumerator: same graphs in the same order.
+    got = list(enumerate_polyominoes(8))
+    want = list(enumerate_polyominoes_reference(8))
+    assert len(got) == len(want) == 3792
+    for g, ref in zip(got, want):
+        assert g.name == ref.name
+        assert list(g.coords.items()) == list(ref.coords.items()), g.name
+        assert g.edges == ref.edges, g.name
+        assert list(g.rotation.items()) == list(ref.rotation.items()), g.name
+
+
+def test_polyomino_growth_leaves_no_state_behind():
+    # The growth recurses through a closure; with the cyclic collector off,
+    # a closure that outlived its call would keep every shape list (about
+    # 2 MB at 8 cells) alive per call.
+    gc.disable()
+    tracemalloc.start()
+    try:
+        oracle._fixed_polyominoes(8)
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(5):
+            oracle._fixed_polyominoes(8)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert grown < 10 ** 6, grown
 
 
 def test_compare_lenient_all_agree():

@@ -1,5 +1,6 @@
 """Randomised algebraic and structural properties."""
 
+import functools
 import random
 
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from polygrid.structure import BasisGraph
 
 from embedding_reference import rotation_reference, trace_faces_reference
 from oracle_reference import set_reference_oracle
+from polyomino_reference import built_shapes
 
 edge_sets = st.frozensets(st.integers(min_value=0, max_value=40),
                           max_size=12)
@@ -60,6 +62,36 @@ def touching_cells(draw):
                       - set(cells))
         cells.append(draw(st.sampled_from(near)))
     return cells
+
+
+@st.composite
+def side_connected_cells(draw):
+    """Up to 7 cells anywhere near the origin, each sharing a side with an
+    earlier one: a fixed polyomino, not yet translated."""
+    near = st.integers(min_value=-5, max_value=5)
+    cells = [draw(st.tuples(near, near))]
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        sides = sorted({(x + dx, y + dy) for x, y in cells
+                        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))}
+                       - set(cells))
+        cells.append(draw(st.sampled_from(sides)))
+    return cells
+
+
+@functools.lru_cache(maxsize=None)
+def polyomino_cell_sets(max_faces):
+    return {frozenset(cells) for _, cells in built_shapes(max_faces)}
+
+
+@given(side_connected_cells())
+@settings(max_examples=300)
+def test_random_polyomino_is_enumerated(cells):
+    # Completeness without the reference enumerator: any shape grown at
+    # random, translated to the origin, is one the generator builds.
+    min_x = min(x for x, _ in cells)
+    min_y = min(y for _, y in cells)
+    shape = frozenset((x - min_x, y - min_y) for x, y in cells)
+    assert shape in polyomino_cell_sets(7)
 
 
 @given(touching_cells())
