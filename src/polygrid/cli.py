@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -207,15 +209,18 @@ def cmd_gen(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    # The polyomino size is checked when the generator is made, before
-    # `--out` is opened, so a bad size leaves an existing file as it was.
-    # `--out` is opened, and `compare` checks the budget, before the first
-    # polyomino is built, so either error comes at once rather than after
-    # the audit.
+    # The polyomino size, the `--out` path and the budget are checked
+    # before the first polyomino is built, so each error comes at once
+    # rather than after the audit.  `--out` is opened to append and, if it
+    # is a regular file, emptied only once the report is ready, so an error
+    # leaves an existing file as it was; a device or pipe (`/dev/null`,
+    # `/dev/stdout`) cannot be truncated and is written as it is.
     polyominoes = enumerate_polyominoes(args.polyominoes)
     save = Path(args.save_candidates) if args.save_candidates else None
-    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+    with open(args.out, "a") if args.out else nullcontext(sys.stdout) as out:
         report = compare(polyominoes, budget=args.budget, save_dir=save)
+        if args.out and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+            out.truncate(0)
         out.write(report_json(report))
     totals = report.totals
     print(f"# graphs={totals['graphs']} agree={totals['agree']} "

@@ -2,11 +2,13 @@
 
 A graph is given as a straight-line plane drawing on integer coordinates.
 A `PlanarEmbedding` holds its `coords` and `edges`, the `rotation` (each
-vertex's neighbours in counterclockwise angular order, the one neighbour
-map) and the incident-edge masks, the one edge index, which `edge_id`,
-`trace_faces` and `BasisGraph` read.  Every drawing is checked for
-planarity except a set of unit cells, which
-`PlanarEmbedding._from_unit_cells` builds planar by construction.  The
+vertex's neighbours in counterclockwise angular order as a tuple, the one
+neighbour map) and the incident-edge masks, the one edge index, which
+`edge_id`, `trace_faces` and `BasisGraph` read.  Every drawing is checked
+for planarity except a set of unit cells, which
+`PlanarEmbedding._from_unit_cells` builds planar by construction; graphs
+built there with one interning table share their equal point, edge and
+rotation tuples, while each keeps its own dicts.  The
 check files each edge under both ends by one exact direction key; sorting
 those keys gives the rotation and finds edges that overlap at a common
 vertex, and segment pairs in shared grid cells are tested only for edges
@@ -58,8 +60,9 @@ class PlanarEmbedding:
         self._link(self._validate())
 
     @classmethod
-    def _from_unit_cells(cls, cells: Iterable[Tuple[int, int]],
-                         name: str) -> "PlanarEmbedding":
+    def _from_unit_cells(cls, cells: Iterable[Tuple[int, int]], name: str,
+                         shared: Optional[Dict[tuple, tuple]] = None
+                         ) -> "PlanarEmbedding":
         """The lattice graph of a set of unit cells, built without the
         planarity check and its direction sort.
 
@@ -70,6 +73,11 @@ class PlanarEmbedding:
         north, west, south order, the order of their direction keys in
         `_check_planarity`.  The result equals
         `PlanarEmbedding(g.coords, g.edges)`.
+
+        `shared`, when given, interns the point, edge and rotation tuples:
+        each is replaced by the equal tuple already in it, or added, so
+        graphs built with one table refer to one object per distinct
+        tuple.  Tuples are immutable, so sharing them changes no graph.
         """
         cells = {(x, y) for x, y in cells}
         # (x, y) is in `across` when the side to (x + 1, y) exists (a cell
@@ -80,7 +88,7 @@ class PlanarEmbedding:
         points = sorted(across | up | {(x + 1, y + 1) for x, y in cells})
         ids = {p: i for i, p in enumerate(points)}
         edges: List[Tuple[int, int]] = []
-        rotation: Dict[int, List[int]] = {}
+        rotation: Dict[int, Tuple[int, ...]] = {}
         for i, (x, y) in enumerate(points):
             # (x, y + 1) is the next point after (x, y), and (x + 1, y)
             # comes later still, so edges come out sorted.
@@ -88,10 +96,15 @@ class PlanarEmbedding:
                 edges.append((i, i + 1))
             if (x, y) in across:
                 edges.append((i, ids[(x + 1, y)]))
-            rotation[i] = [ids[p] for p, present in (
+            rotation[i] = tuple([ids[p] for p, present in (
                 ((x + 1, y), (x, y) in across), ((x, y + 1), (x, y) in up),
                 ((x - 1, y), (x - 1, y) in across),
-                ((x, y - 1), (x, y - 1) in up)) if present]
+                ((x, y - 1), (x, y - 1) in up)) if present])
+        if shared is not None:
+            keep = shared.setdefault
+            points = [keep(p, p) for p in points]
+            edges = [keep(e, e) for e in edges]
+            rotation = {i: keep(r, r) for i, r in rotation.items()}
         g = cls.__new__(cls)
         g.name = name
         g.coords = dict(enumerate(points))
@@ -101,7 +114,7 @@ class PlanarEmbedding:
 
     # -- construction helpers ------------------------------------------------
 
-    def _link(self, rotation: Dict[int, List[int]]):
+    def _link(self, rotation: Dict[int, Tuple[int, ...]]):
         """Store `rotation`, the one neighbour map (each vertex's
         neighbours in counterclockwise order), and reject an empty or
         disconnected graph."""
@@ -111,7 +124,7 @@ class PlanarEmbedding:
             raise PggParseError("graph is disconnected")
         self.rotation = rotation
 
-    def _validate(self) -> Dict[int, List[int]]:
+    def _validate(self) -> Dict[int, Tuple[int, ...]]:
         """Check the drawing: known endpoints, no self-loop, duplicate edge
         or shared position, and planarity; return the rotation.  An error
         about one edge names its index as `edge`; unknown endpoints are
@@ -136,7 +149,7 @@ class PlanarEmbedding:
             positions[p] = vid
         return self._check_planarity()
 
-    def _check_planarity(self) -> Dict[int, List[int]]:
+    def _check_planarity(self) -> Dict[int, Tuple[int, ...]]:
         """Reject overlapping or crossing edges and vertices on foreign
         edges; return the rotation.
 
@@ -213,7 +226,7 @@ class PlanarEmbedding:
                 if geometry.on_segment(p, *segs[i]):
                     raise PggParseError(
                         f"vertex {vid} lies on edge {u} {v}")
-        return {v: [w for _, _, w in entries]
+        return {v: tuple([w for _, _, w in entries])
                 for v, entries in leaving.items()}
 
     # -- basic queries -------------------------------------------------------

@@ -45,7 +45,9 @@ and each new cell's sides are offered only if no earlier cell offered
 them, so every fixed polyomino is reached exactly once and nothing is
 de-duplicated.  Each shape is shifted by its minimum x to its sorted cell
 tuple; the shapes are yielded by size, each size in ascending tuple
-order, as `poly{k}_{i}`.  `compare` runs the criterion and the oracle
+order, as `poly{k}_{i}`.  One enumeration keeps one interning table, so
+its graphs share each equal point, edge and rotation tuple and hold only
+their own dicts.  `compare` runs the criterion and the oracle
 side by side and persists any disagreement as a `.pgg` candidate file.
 """
 
@@ -308,9 +310,14 @@ def enumerate_polyominoes(max_faces: int) -> Iterator[PlanarEmbedding]:
 
 
 def _polyomino_graphs(max_faces: int) -> Iterator[PlanarEmbedding]:
+    # One interning table for the whole enumeration: every graph refers to
+    # the one copy of each point, edge and rotation tuple it uses.  The
+    # table goes with the generator.
+    shared: Dict[tuple, tuple] = {}
     for k, shapes in enumerate(_fixed_polyominoes(max_faces), 1):
         for i, shape in enumerate(shapes):
-            yield cells_to_embedding(shape, name=f"poly{k}_{i}")
+            yield PlanarEmbedding._from_unit_cells(
+                shape, f"poly{k}_{i}", shared)
 
 
 # A polyomino's cells, translated to minimum x and y 0 and sorted.

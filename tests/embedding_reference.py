@@ -36,14 +36,14 @@ def ccw_sort_reference(coords: Dict[int, Tuple[int, int]], v: int,
     return sorted(neighbours, key=functools.cmp_to_key(compare))
 
 
-def rotation_reference(g: PlanarEmbedding) -> Dict[int, List[int]]:
+def rotation_reference(g: PlanarEmbedding) -> Dict[int, Tuple[int, ...]]:
     """Each vertex's neighbours, gathered in edge order and sorted by
     `ccw_sort_reference`, keyed in the order of `coords`."""
     neighbours: Dict[int, List[int]] = {v: [] for v in g.coords}
     for u, v in g.edges:
         neighbours[u].append(v)
         neighbours[v].append(u)
-    return {v: ccw_sort_reference(g.coords, v, ns)
+    return {v: tuple(ccw_sort_reference(g.coords, v, ns))
             for v, ns in neighbours.items()}
 
 

@@ -50,16 +50,16 @@ def enumerate_polyominoes_reference(max_faces: int
 
 def built_shapes(max_faces: int) -> List[Tuple[str, Shape]]:
     """(name, cells) for every graph `enumerate_polyominoes(max_faces)`
-    yields, in order: the cells it hands `cells_to_embedding`, read by
-    wrapping that function."""
+    yields, in order: the cells it hands
+    `PlanarEmbedding._from_unit_cells`, read by wrapping that method."""
     built = []
-    real = oracle.cells_to_embedding
+    real = PlanarEmbedding._from_unit_cells
 
-    def recording(cells, name):
+    def recording(cells, name, *shared):
         built.append((name, tuple(cells)))
-        return real(cells, name)
+        return real(cells, name, *shared)
 
-    with mock.patch.object(oracle, "cells_to_embedding", recording):
+    with mock.patch.object(PlanarEmbedding, "_from_unit_cells", recording):
         names = [g.name for g in oracle.enumerate_polyominoes(max_faces)]
     assert names == [name for name, _ in built]
     return built

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -279,6 +280,35 @@ def test_compare_bad_size_exit_3_and_keeps_out(tmp_path, capsys):
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, size
         assert report.read_text() == "kept\n", size
+
+
+def test_compare_bad_budget_keeps_out(tmp_path, capsys):
+    # `--out` is opened before `compare` checks the budget, but it is
+    # emptied only once the report is ready, so an existing report is left
+    # as it was.
+    report = tmp_path / "report.json"
+    report.write_text("kept\n")
+    for budget in ("0", "-1"):
+        code, out, err = run(capsys, "compare", "--polyominoes", "3",
+                             "--budget", budget, "--out", str(report))
+        assert (code, out, err) == (3, "", "error: budget must be >= 1\n")
+        assert report.read_text() == "kept\n", budget
+
+
+def test_compare_replaces_a_longer_out(tmp_path, capsys):
+    # A finished report takes the whole file, whatever was there before.
+    fresh, reused = tmp_path / "fresh.json", tmp_path / "reused.json"
+    reused.write_text("x" * 10 ** 5)
+    for path in (fresh, reused):
+        assert run(capsys, "compare", "--polyominoes", "3",
+                   "--out", str(path))[0] == 0
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
+def test_compare_out_to_a_device(capsys):
+    # A device cannot be truncated; the report is written to it as it is.
+    assert run(capsys, "compare", "--polyominoes", "3",
+               "--out", os.devnull)[0] == 0
 
 
 def test_bad_budget_exit_3(pgg, capsys):

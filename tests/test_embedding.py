@@ -212,7 +212,7 @@ def test_rotation_is_exact_for_nearly_equal_slopes():
               2: (10 ** 18 + 1, 10 ** 18 + 2), 3: (-1, 0), 4: (0, -1)}
     assert math.atan2(*coords[1][::-1]) == math.atan2(*coords[2][::-1])
     g = PlanarEmbedding(coords, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    assert g.rotation[0] == [2, 1, 3, 4]
+    assert g.rotation[0] == (2, 1, 3, 4)
     assert g.rotation == rotation_reference(g)
 
 

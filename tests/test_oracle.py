@@ -7,7 +7,7 @@ import pytest
 
 from polygrid import oracle, trace_faces
 from polygrid.embedding import (PlanarEmbedding, components, is_hamilton_cycle,
-                                parse_pgg)
+                                parse_pgg, write_pgg)
 from polygrid.oracle import (GridGenError, OracleResult, cells_to_embedding,
                              compare, enumerate_polyominoes, gen_grid,
                              hamilton_oracle, report_json)
@@ -201,9 +201,9 @@ def test_cells_meeting_at_a_corner_make_one_graph(fig8):
     assert fig8.size == 8
     assert components(fig8.rotation) == [tuple(range(7))]
     cut = next(v for v, p in fig8.coords.items() if p == (1, 1))
-    assert fig8.rotation[cut] == [
+    assert fig8.rotation[cut] == tuple(
         next(v for v, p in fig8.coords.items() if p == q)
-        for q in ((2, 1), (1, 2), (0, 1), (1, 0))]
+        for q in ((2, 1), (1, 2), (0, 1), (1, 0)))
 
 
 def test_polyomino_counts():
@@ -259,6 +259,37 @@ def test_polyomino_growth_leaves_no_state_behind():
         tracemalloc.stop()
         gc.enable()
     assert grown < 10 ** 6, grown
+
+
+def test_shared_tuples_change_no_graph():
+    # One enumeration interns its point, edge and rotation tuples; every
+    # graph still equals its shape built alone, tuple for tuple.
+    graphs = list(enumerate_polyominoes(7))
+    shapes = [shape for by_size in oracle._fixed_polyominoes(7)
+              for shape in by_size]
+    assert len(graphs) == len(shapes) == 1067
+    for g, shape in zip(graphs, shapes):
+        alone = cells_to_embedding(shape, g.name)
+        assert list(g.coords.items()) == list(alone.coords.items()), g.name
+        assert g.edges == alone.edges, g.name
+        assert list(g.rotation.items()) == list(alone.rotation.items()), \
+            g.name
+        assert write_pgg(g) == write_pgg(alone), g.name
+    # Equal tuples are one object across the enumeration, and no dict is
+    # shared between graphs.
+    for tuples in ([p for g in graphs for p in g.coords.values()],
+                   [e for g in graphs for e in g.edges],
+                   [r for g in graphs for r in g.rotation.values()]):
+        assert len({id(t) for t in tuples}) == len(set(tuples))
+    for attr in ("coords", "rotation"):
+        assert len({id(getattr(g, attr)) for g in graphs}) == len(graphs)
+
+
+def test_rotation_values_are_tuples():
+    grid = gen_grid(4, 5, holes=[(1, 1)])
+    for g in (grid, parse_pgg(write_pgg(grid)),
+              *enumerate_polyominoes(4)):
+        assert all(type(r) is tuple for r in g.rotation.values()), g.name
 
 
 def test_compare_lenient_all_agree():
