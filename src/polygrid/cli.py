@@ -213,12 +213,19 @@ def cmd_compare(args) -> int:
     # before the first polyomino is built, so each error comes at once
     # rather than after the audit.  `--out` is opened to append and, if it
     # is a regular file, emptied only once the report is ready, so an error
-    # leaves an existing file as it was; a device or pipe (`/dev/null`,
-    # `/dev/stdout`) cannot be truncated and is written as it is.
+    # leaves an existing file as it was, and removes one that this run
+    # created; a device or pipe (`/dev/null`, `/dev/stdout`) cannot be
+    # truncated and is written as it is.
     polyominoes = enumerate_polyominoes(args.polyominoes)
     save = Path(args.save_candidates) if args.save_candidates else None
+    created = bool(args.out) and not os.path.lexists(args.out)
     with open(args.out, "a") if args.out else nullcontext(sys.stdout) as out:
-        report = compare(polyominoes, budget=args.budget, save_dir=save)
+        try:
+            report = compare(polyominoes, budget=args.budget, save_dir=save)
+        except BaseException:
+            if created:
+                os.unlink(args.out)
+            raise
         if args.out and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
             out.truncate(0)
         out.write(report_json(report))

@@ -11,7 +11,7 @@ verdict is CriterionUnverified rather than a bare claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .embedding import (EdgeSet, FaceBasis, PlanarEmbedding,
                         is_hamilton_cycle, sym_diff_all, trace_faces)
@@ -43,8 +43,12 @@ class Verdict:
 
 # -- hole context search -----------------------------------------------------
 
-def _cx_walk(bg: BasisGraph, x: int,
-             max_size: int) -> Iterator[Tuple[Tuple[int, ...], BasisGraph]]:
+# (surviving-face mask, face id) -> None or [child residual, feasibility]
+_Removals = Dict[Tuple[int, int], Optional[list]]
+
+
+def _cx_walk(bg: BasisGraph, x: int, max_size: int, table: _Removals
+             ) -> Iterator[Tuple[Tuple[int, ...], BasisGraph]]:
     """The qualifying C_x sets with their residuals, in lexicographic order.
 
     A depth-first walk over ascending face ids: each set extends its
@@ -55,6 +59,13 @@ def _cx_walk(bg: BasisGraph, x: int,
     Past the last face on x it descends only where x already qualifies:
     deeper removals take higher ids, so faces without x, which have no
     edge at x and change neither its degree nor its class.
+
+    Whether a face is removable, the residual its removal leaves and that
+    residual's feasibility depend on the face set alone, not on x.  So
+    `table` maps (surviving-face mask, face id) to None when the face is
+    not removable, else to [child residual, feasibility], the feasibility
+    solved the first time a walk needs it; the walks of one search share
+    it, and each face set is tested, removed and solved at most once.
     """
     if bg.degree(x) < 4 or max_size < 1:
         return
@@ -64,18 +75,33 @@ def _cx_walk(bg: BasisGraph, x: int,
     def walk(residual: BasisGraph, cx: Tuple[int, ...], start: int):
         for k in range(start, len(fids)):
             fid = fids[k]
-            if not residual.is_removable(fid):
+            key = (residual.face_mask, fid)
+            if key in table:
+                entry = table[key]
+            else:
+                entry = table[key] = ([residual.remove_face(fid), None]
+                                      if residual.is_removable(fid) else None)
+            if entry is None:
                 continue
-            child = residual.remove_face(fid)
+            child = entry[0]
             subset = cx + (fid,)
             at_x = (child.degree(x) == 4
                     and child.vertex_class(x).tag == "boundary")
-            if at_x and solvable(equation_of_graph(child)):
-                yield subset, child
+            if at_x:
+                if entry[1] is None:
+                    entry[1] = solvable(equation_of_graph(child))
+                if entry[1]:
+                    yield subset, child
             if len(subset) < max_size and (at_x or fid < last):
                 yield from walk(child, subset, k + 1)
 
-    yield from walk(bg, (), 0)
+    try:
+        yield from walk(bg, (), 0)
+    finally:
+        # `walk` reaches itself through its closure, which holds `table`;
+        # dropping the name ends that cycle, so neither waits for the next
+        # cyclic collection.
+        del walk
 
 
 def candidate_Cx(bg: BasisGraph, x: int,
@@ -86,7 +112,7 @@ def candidate_Cx(bg: BasisGraph, x: int,
     Every prefix of a set (in ascending index order) must be removable at
     its turn.  Results in lexicographic order.
     """
-    return [cx for cx, _ in _cx_walk(bg, x, max_size)]
+    return [cx for cx, _ in _cx_walk(bg, x, max_size, {})]
 
 
 def build_context(residual: BasisGraph, x: int,
@@ -143,14 +169,22 @@ def hole_contexts(g: PlanarEmbedding, bg: BasisGraph,
     the lexicographic order of the C_x sets.
 
     Each context is built and tested on the residual the C_x walk
-    already holds, whose equation the walk has found feasible.
+    already holds, whose equation the walk has found feasible.  The walks
+    from all beginning vertices share one table of residuals and their
+    feasibility, keyed by face set, so each face set is removed and
+    solved once per search; the table is freed when the search ends or is
+    closed.
     """
     if max_cx < 1:
         raise ValueError("max_cx must be >= 1")
-    for x in sorted(g.coords):
-        for cx, residual in _cx_walk(bg, x, max_cx):
-            ctx = build_context(residual, x, cx)
-            yield ctx, is_global_hole(residual, ctx)
+    table: _Removals = {}
+    try:
+        for x in sorted(g.coords):
+            for cx, residual in _cx_walk(bg, x, max_cx, table):
+                ctx = build_context(residual, x, cx)
+                yield ctx, is_global_hole(residual, ctx)
+    finally:
+        table.clear()
 
 
 # -- the decision ------------------------------------------------------------

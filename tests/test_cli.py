@@ -295,6 +295,15 @@ def test_compare_bad_budget_keeps_out(tmp_path, capsys):
         assert report.read_text() == "kept\n", budget
 
 
+def test_compare_bad_budget_creates_no_out(tmp_path, capsys):
+    # A failed run removes the `--out` file it created, and only that one.
+    report = tmp_path / "nofile.json"
+    code, out, err = run(capsys, "compare", "--polyominoes", "3",
+                         "--budget", "0", "--out", str(report))
+    assert (code, out, err) == (3, "", "error: budget must be >= 1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compare_replaces_a_longer_out(tmp_path, capsys):
     # A finished report takes the whole file, whatever was there before.
     fresh, reused = tmp_path / "fresh.json", tmp_path / "reused.json"

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from collections import Counter
@@ -13,6 +14,8 @@ from polygrid.grinberg import equation_of_graph, solvable
 from polygrid.fixtures import _polygons_to_embedding
 from polygrid.oracle import enumerate_polyominoes, gen_grid
 from polygrid.structure import CASE_I, CASE_II, BasisGraph, claw_d2_scan
+
+from holes_reference import hole_contexts_reference
 
 
 def vertex_at(g, xy):
@@ -379,6 +382,73 @@ def test_hole_contexts_calls_each_step_once_per_context(monkeypatch):
     assert found
     assert calls == {"build_context": len(found),
                      "is_global_hole": len(found)}
+
+
+def _hole_clusters(m, n):
+    """The 2-3-cell clusters of interior cells that gen_grid(m, n) can
+    delete: pairs sharing a side, and triples of which two pairs do."""
+    inner = [(cx, cy) for cx in range(1, m - 2) for cy in range(1, n - 2)]
+
+    def side(a, b):
+        return abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
+
+    return [c for k in (2, 3) for c in itertools.combinations(inner, k)
+            if sum(side(a, b) for a, b in itertools.combinations(c, 2))
+            >= k - 1]
+
+
+def test_hole_contexts_match_the_unshared_reference(monkeypatch):
+    # The search shares each face set's removal, residual and feasibility
+    # across beginning vertices; the reference walks every vertex afresh.
+    graphs = list(enumerate_polyominoes(6))
+    graphs += [gen_grid(m, n) for m in (4, 5) for n in (4, 5, 6)]
+    clusters = 0
+    for m, n in ((4, 5), (4, 6)):
+        for cluster in _hole_clusters(m, n):
+            graphs.append(gen_grid(m, n, cluster))
+            graphs.append(gen_grid(n, m, [(y, x) for x, y in cluster]))
+            clusters += 1
+    assert clusters == 4
+    seen = []
+    real_test = BasisGraph.is_removable
+
+    def recording(self, fid):
+        seen.append((self.face_mask, fid))
+        return real_test(self, fid)
+
+    holes_found = 0
+    for g in graphs:
+        bg = BasisGraph(g, trace_faces(g))
+        for max_cx in (1, 2, 3):
+            expected = list(hole_contexts_reference(g, bg, max_cx))
+            seen.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(BasisGraph, "is_removable", recording)
+                got = list(hole_contexts(g, bg, max_cx))
+            assert got == expected, (g.name, max_cx)
+            assert len(set(seen)) == len(seen), (g.name, max_cx)
+            holes_found += sum(hole for _, hole in got)
+    assert holes_found > 0
+
+
+def test_hole_search_leaves_no_residual_alive():
+    # 4x5 stops at its first global hole, with the search still open;
+    # 5x6 searches every context.  Neither may leave a residual for the
+    # cyclic collector.
+    def residuals():
+        return [o for o in gc.get_objects() if isinstance(o, BasisGraph)]
+
+    gc.collect()
+    before = residuals()
+    gc.disable()
+    try:
+        assert decide(gen_grid(4, 5), claw_mode="lenient").tag == \
+            holes.GLOBAL_HOLE
+        assert decide(gen_grid(5, 6), claw_mode="lenient").tag == UNVERIFIED
+        left = [r for r in residuals() if not any(r is b for b in before)]
+    finally:
+        gc.enable()
+    assert left == []
 
 
 def test_decide_square(square):
