@@ -523,6 +523,11 @@ def classify_edge_set(e: EdgeSet, g: PlanarEmbedding) -> CycleClass:
 
 
 def is_hamilton_cycle(e: EdgeSet, g: PlanarEmbedding) -> bool:
+    """Whether e is one cycle through every vertex of g; False when any id
+    in e is not an edge id of g (a negative one included)."""
+    size = g.size
+    if any(not 0 <= eid < size for eid in e):
+        return False
     c = classify_edge_set(e, g)
     return c.tag == "single-cycle" and c.length == g.order
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .embedding import (EdgeSet, FaceBasis, PlanarEmbedding,
-                        is_hamilton_cycle, sym_diff_all, trace_faces)
+from .embedding import (EdgeSet, FaceBasis, PlanarEmbedding, bit_ids,
+                        is_hamilton_cycle, trace_faces)
 from .grinberg import equation_of_graph, solvable, solve
 from .structure import CASE_II, BasisGraph, ClawReport, claw_d2_scan
 
@@ -66,11 +66,21 @@ def _cx_walk(bg: BasisGraph, x: int, max_size: int, table: _Removals
     not removable, else to [child residual, feasibility], the feasibility
     solved the first time a walk needs it; the walks of one search share
     it, and each face set is tested, removed and solved at most once.
+
+    Whether x qualifies, a degree-4 boundary vertex, reads only the edges
+    at x, and each lies on no face or on faces that hold x: a bridge is
+    never deleted, and a face edge survives while one of its faces does
+    and has weight 2 while both do.  So the test depends only on the
+    surviving faces on x, and `qualifies` memoises it by that mask for
+    this walk: `vertex_class(x)` runs once per surviving subset of the
+    faces on x.
     """
     if bg.degree(x) < 4 or max_size < 1:
         return
     fids = bg.face_ids
-    last = max(bg.faces_on_vertex(x), default=-1)
+    on_x = sum(1 << fid for fid in bg.basis.vertex_face_ids.get(x, ()))
+    last = (bg.face_mask & on_x).bit_length() - 1
+    qualifies: Dict[int, bool] = {}
 
     def walk(residual: BasisGraph, cx: Tuple[int, ...], start: int):
         for k in range(start, len(fids)):
@@ -85,7 +95,11 @@ def _cx_walk(bg: BasisGraph, x: int, max_size: int, table: _Removals
                 continue
             child = entry[0]
             subset = cx + (fid,)
-            at_x = (child.degree(x) == 4
+            faces_at_x = child.face_mask & on_x
+            at_x = qualifies.get(faces_at_x)
+            if at_x is None:
+                at_x = qualifies[faces_at_x] = (
+                    child.degree(x) == 4
                     and child.vertex_class(x).tag == "boundary")
             if at_x:
                 if entry[1] is None:
@@ -123,11 +137,14 @@ def build_context(residual: BasisGraph, x: int,
     weight-1 edge of the residual, so its removal deletes no edge and it
     is removable.  That is all the global-hole test reads: on every
     residual the C_x walk yields, C_xe is empty (see `is_global_hole`).
+    The faces on x are read from the basis's ascending incidence list,
+    skipping the removed ones.
     """
-    w2 = residual.w2_mask
-    masks = residual.basis.edge_masks
-    for ck in sorted(residual.faces_on_vertex(x)):
-        if (not masks[ck] & ~w2 and any(
+    faces, w2 = residual.face_mask, residual.w2_mask
+    basis = residual.basis
+    masks = basis.edge_masks
+    for ck in basis.vertex_face_ids.get(x, ()):
+        if (faces >> ck & 1 and not masks[ck] & ~w2 and any(
                 residual.is_interior(v) for v in residual.face(ck).vertices)):
             return HoleContext(x=x, cx=cx, ck=ck)
     return HoleContext(x=x, cx=cx)
@@ -198,7 +215,9 @@ def decide(g: PlanarEmbedding, basis: Optional[FaceBasis] = None,
     equation decides next (the trusted necessity direction); under the
     strict claw reading a Case I report then rules the graph out; then the
     bounded hole search; finally certificate attempts over solution
-    partitions.
+    partitions.  A partition's cycle is the XOR of its inside faces' edge
+    masks; one without exactly |V| edges cannot be a Hamilton cycle and is
+    skipped, and the others are checked with `is_hamilton_cycle`.
     """
     if claw_mode not in ("strict", "lenient"):
         raise ValueError(f"unknown claw mode {claw_mode!r}")
@@ -224,9 +243,14 @@ def decide(g: PlanarEmbedding, basis: Optional[FaceBasis] = None,
         if hole:
             return Verdict(GLOBAL_HOLE, hole=ctx,
                            details=f"global hole at vertex {ctx.x}")
+    masks = basis.edge_masks
     for partition in solve(eq, limit=limit):
-        cycle = sym_diff_all(basis.faces[fid].edges
-                             for fid in sorted(partition.inside))
+        cycle_mask = 0
+        for fid in partition.inside:
+            cycle_mask ^= masks[fid]
+        if cycle_mask.bit_count() != g.order:
+            continue
+        cycle = frozenset(bit_ids(cycle_mask))
         if is_hamilton_cycle(cycle, g):
             return Verdict(HAMILTONIAN, certificate=cycle)
     return Verdict(

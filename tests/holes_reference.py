@@ -1,12 +1,17 @@
-"""A reference hole search for the tests to compare the library's against:
-each beginning vertex's C_x walk tests, removes and solves every face set
-it reaches afresh, sharing nothing with the walks from other vertices."""
+"""A reference hole search and certificate loop for the tests to compare
+the library's against.  Each beginning vertex's C_x walk tests, removes and
+solves every face set it reaches afresh, sharing nothing with the walks
+from other vertices, and tests x at every set; C_k is found by a sorted
+scan of the residual's faces on x; and every partition's cycle is built
+from edge frozensets and checked as a Hamilton cycle, whatever its size."""
 
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
-from polygrid.embedding import PlanarEmbedding
-from polygrid.grinberg import equation_of_graph, solvable
-from polygrid.holes import HoleContext, build_context, is_global_hole
+from polygrid.embedding import (EdgeSet, FaceBasis, PlanarEmbedding,
+                                is_hamilton_cycle, sym_diff_all)
+from polygrid.grinberg import (GrinbergEquation, equation_of_graph,
+                               solvable, solve)
+from polygrid.holes import HoleContext, is_global_hole
 from polygrid.structure import BasisGraph
 
 
@@ -37,6 +42,19 @@ def cx_walk_reference(bg: BasisGraph, x: int, max_size: int) -> Iterator[
     yield from walk(bg, (), 0)
 
 
+def build_context_reference(residual: BasisGraph, x: int,
+                            cx: Tuple[int, ...]) -> HoleContext:
+    """The hole context of a C_x set: C_k is the first surviving face on x,
+    by ascending id, with no weight-1 edge and an interior vertex."""
+    w2 = residual.w2_mask
+    masks = residual.basis.edge_masks
+    for ck in sorted(residual.faces_on_vertex(x)):
+        if (not masks[ck] & ~w2 and any(
+                residual.is_interior(v) for v in residual.face(ck).vertices)):
+            return HoleContext(x=x, cx=cx, ck=ck)
+    return HoleContext(x=x, cx=cx)
+
+
 def hole_contexts_reference(g: PlanarEmbedding, bg: BasisGraph,
                             max_cx: int) -> Iterator[
                                 Tuple[HoleContext, bool]]:
@@ -45,5 +63,18 @@ def hole_contexts_reference(g: PlanarEmbedding, bg: BasisGraph,
     sets."""
     for x in sorted(g.coords):
         for cx, residual in cx_walk_reference(bg, x, max_cx):
-            ctx = build_context(residual, x, cx)
+            ctx = build_context_reference(residual, x, cx)
             yield ctx, is_global_hole(residual, ctx)
+
+
+def certificate_reference(g: PlanarEmbedding, basis: FaceBasis,
+                          eq: GrinbergEquation,
+                          limit: int) -> Optional[EdgeSet]:
+    """The first of the first `limit` solution partitions whose inside
+    faces XOR to a Hamilton cycle, as that cycle; None if there is none."""
+    for partition in solve(eq, limit=limit):
+        cycle = sym_diff_all(basis.faces[fid].edges
+                             for fid in sorted(partition.inside))
+        if is_hamilton_cycle(cycle, g):
+            return cycle
+    return None

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from polygrid import trace_faces
+from polygrid.embedding import is_hamilton_cycle
 from polygrid.grinberg import (GrinbergEquation, check_prop_3_1,
                                count_solutions, equation_of, format_equation,
                                solvable, solve, tutte_reduced_equation,
@@ -134,6 +135,19 @@ def test_verify_identity_rejects_non_cycle(domino):
     basis = trace_faces(domino)
     with pytest.raises(ValueError):
         verify_grinberg_identity(basis.faces[0].edges, basis, domino)
+
+
+def test_foreign_edge_ids_are_not_a_hamilton_cycle():
+    # -1 would alias the last edge, and an id >= |E| would index past the
+    # edge list.
+    g = gen_grid(2, 2)
+    basis = trace_faces(g)
+    assert is_hamilton_cycle(frozenset(range(g.size)), g)
+    for foreign in (-1, -g.size, g.size, g.size + 7):
+        e = frozenset(range(g.size - 1)) | {foreign}
+        assert not is_hamilton_cycle(e, g), foreign
+        with pytest.raises(ValueError, match="not a Hamilton cycle"):
+            verify_grinberg_identity(e, basis, g)
 
 
 def test_verify_identity_oracle_grid4(grid4):

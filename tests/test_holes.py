@@ -15,7 +15,7 @@ from polygrid.fixtures import _polygons_to_embedding
 from polygrid.oracle import enumerate_polyominoes, gen_grid
 from polygrid.structure import CASE_I, CASE_II, BasisGraph, claw_d2_scan
 
-from holes_reference import hole_contexts_reference
+from holes_reference import certificate_reference, hole_contexts_reference
 
 
 def vertex_at(g, xy):
@@ -245,6 +245,34 @@ def _cut_tilings():
             for name, rings in tilings.items()]
 
 
+def _triangle_corners(i, j, up):
+    """The lattice corners of triangle-lattice cell (i, j, up)."""
+    if up:
+        return (i, j), (i + 1, j), (i, j + 1)
+    return (i + 1, j), (i + 1, j + 1), (i, j + 1)
+
+
+def _triangle_patches():
+    """Triangle-lattice patches, lattice point (i, j) drawn at (2i + j, j),
+    whose inner vertices have degree 6: two parallelograms, and the
+    hexagon of radius 2 around a lattice point."""
+    def cells(irange, jrange):
+        return [(i, j, up) for i in irange for j in jrange
+                for up in (True, False)]
+
+    def patch(chosen, name):
+        return _polygons_to_embedding(
+            [tuple((2 * i + j, j) for i, j in _triangle_corners(*cell))
+             for cell in chosen], name)
+
+    hexagon = [cell for cell in cells(range(-2, 2), range(-2, 2))
+               if all(max(abs(i), abs(j), abs(i + j)) <= 2
+                      for i, j in _triangle_corners(*cell))]
+    return [patch(cells(range(2), range(3)), "triangles-2x3"),
+            patch(cells(range(3), range(3)), "triangles-3x3"),
+            patch(hexagon, "triangles-hexagon")]
+
+
 def _masks(bg):
     return bg.face_mask, bg.edge_mask, bg.w2_mask
 
@@ -397,11 +425,17 @@ def _hole_clusters(m, n):
             >= k - 1]
 
 
-def test_hole_contexts_match_the_unshared_reference(monkeypatch):
+def test_hole_contexts_match_the_unshared_reference(monkeypatch,
+                                                   twin_nonagons):
     # The search shares each face set's removal, residual and feasibility
-    # across beginning vertices; the reference walks every vertex afresh.
+    # across beginning vertices, tests x once per surviving subset of the
+    # faces on x, and scans the basis's faces on x for C_k; the reference
+    # walks every vertex afresh, tests x at every set and sorts the
+    # residual's faces on x.  The triangle patches have vertices of degree
+    # 6, so the test at x is not checked on squares alone.
     graphs = list(enumerate_polyominoes(6))
     graphs += [gen_grid(m, n) for m in (4, 5) for n in (4, 5, 6)]
+    graphs += [twin_nonagons] + _triangle_patches()
     clusters = 0
     for m, n in ((4, 5), (4, 6)):
         for cluster in _hole_clusters(m, n):
@@ -429,6 +463,53 @@ def test_hole_contexts_match_the_unshared_reference(monkeypatch):
             assert len(set(seen)) == len(seen), (g.name, max_cx)
             holes_found += sum(hole for _, hole in got)
     assert holes_found > 0
+
+
+def test_x_is_tested_once_per_surviving_face_subset(monkeypatch):
+    # One walk calls vertex_class(x) at most once for each subset of the
+    # faces on x that survives; x's degree and class read nothing else.
+    real_class = BasisGraph.vertex_class
+    keys = []
+    on_x = 0
+
+    def recording(self, v):
+        keys.append((v, self.face_mask & on_x))
+        return real_class(self, v)
+
+    monkeypatch.setattr(BasisGraph, "vertex_class", recording)
+    tested = 0
+    for m, n in itertools.product((4, 5), (4, 5, 6)):
+        g = gen_grid(m, n)
+        bg = BasisGraph(g, trace_faces(g))
+        for x in sorted(g.coords):
+            on_x = sum(1 << fid for fid in bg.basis.vertex_face_ids[x])
+            keys.clear()
+            list(holes._cx_walk(bg, x, 3, {}))
+            assert len(set(keys)) == len(keys), (g.name, x)
+            assert all(v == x for v, _ in keys), (g.name, x)
+            tested += len(keys)
+    assert tested > 0
+
+
+def test_certificates_match_the_unscreened_reference(twin_nonagons):
+    # decide XORs edge masks and skips partitions without |V| edges; the
+    # reference checks every partition's frozenset cycle.  Both must hand
+    # back the same certificate, or none, at every limit.
+    graphs = ([g for g in enumerate_polyominoes(7) if g.order % 2 == 0]
+              + [gen_grid(m, n) for m in (2, 3, 4) for n in (4, 5, 6)]
+              + [twin_nonagons] + _cut_tilings() + _triangle_patches())
+    reached = Counter()
+    for g in graphs:
+        basis = trace_faces(g)
+        eq = equation_of_graph(BasisGraph(g, basis))
+        for limit in (1, 4, 64):
+            v = decide(g, basis=basis, limit=limit, claw_mode="lenient")
+            if v.tag not in (HAMILTONIAN, UNVERIFIED):
+                continue
+            assert v.certificate == certificate_reference(g, basis, eq,
+                                                          limit), g.name
+            reached[v.tag] += 1
+    assert reached[HAMILTONIAN] > 0 and reached[UNVERIFIED] > 0, reached
 
 
 def test_hole_search_leaves_no_residual_alive():
