@@ -15,7 +15,8 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from itertools import islice
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from .embedding import (EdgeSet, FaceBasis, PlanarEmbedding, enclosed_faces,
                         is_hamilton_cycle)
@@ -87,7 +88,18 @@ def equation_of(basis: FaceBasis, g: PlanarEmbedding) -> GrinbergEquation:
 
 
 def equation_of_graph(bg: BasisGraph) -> GrinbergEquation:
-    return GrinbergEquation(bg.face_ids, bg.lengths, bg.order)
+    """The equation of the graph's surviving faces.
+
+    It skips `GrinbergEquation`'s checks, which the hole search would
+    otherwise run on every residual: a `BasisGraph`'s faces are traced
+    cycles of a simple graph, so each has at least 3 sides, and its
+    `face_ids` and `lengths` are built and sliced together.
+    """
+    eq = object.__new__(GrinbergEquation)
+    fields = eq.__dict__
+    fields["face_ids"], fields["lengths"], fields["order"] = (
+        bg.face_ids, bg.lengths, bg.order)
+    return eq
 
 
 def format_equation(eq: GrinbergEquation) -> str:
@@ -128,34 +140,30 @@ def solvable(eq: GrinbergEquation) -> bool:
     return bool(reach >> target & 1)
 
 
-def solve(eq: GrinbergEquation, limit: int = 64) -> List[GrinbergPartition]:
-    """Up to `limit` inside/outside partitions satisfying the equation.
-
-    Solutions are emitted in lexicographic order of the chosen face-index
-    tuples; an empty result means the equation is infeasible.
+def partitions(eq: GrinbergEquation) -> Iterator[GrinbergPartition]:
+    """Every inside/outside partition satisfying the equation, drawn
+    lazily in lexicographic order of the chosen face-index tuples; none
+    when the equation is infeasible.
     """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
     values = eq.values
     target = eq.target
     if target <= 0:
-        return []
+        return
     n = len(values)
     reach = _suffix_reachable(values, target)
     if not reach[0] >> target & 1:
-        return []
+        return
     everything = frozenset(eq.face_ids)
-    out: List[GrinbergPartition] = []
 
     # Depth-first on an explicit stack, so a long equation cannot exhaust
     # the recursion limit; taking values[j] is pushed last, so it is
     # explored before skipping it and the order stays lexicographic.
     stack = [(0, target, ())]
-    while stack and len(out) < limit:
+    while stack:
         j, remaining, chosen = stack.pop()
         if remaining == 0:
             inside = frozenset(eq.face_ids[k] for k in chosen)
-            out.append(GrinbergPartition(inside, everything - inside))
+            yield GrinbergPartition(inside, everything - inside)
             continue
         if j == n or not reach[j] >> remaining & 1:
             continue
@@ -163,7 +171,15 @@ def solve(eq: GrinbergEquation, limit: int = 64) -> List[GrinbergPartition]:
         rest = remaining - values[j]
         if rest >= 0 and reach[j + 1] >> rest & 1:
             stack.append((j + 1, rest, chosen + (j,)))
-    return out
+
+
+def solve(eq: GrinbergEquation, limit: int = 64) -> List[GrinbergPartition]:
+    """The first `limit` of `partitions(eq)`, as a list; an empty result
+    means the equation is infeasible.
+    """
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    return list(islice(partitions(eq), limit))
 
 
 def count_solutions(eq: GrinbergEquation) -> int:

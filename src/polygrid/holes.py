@@ -10,12 +10,16 @@ verdict is CriterionUnverified rather than a bare claim.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .embedding import (EdgeSet, FaceBasis, PlanarEmbedding, bit_ids,
                         is_hamilton_cycle, trace_faces)
-from .grinberg import equation_of_graph, solvable, solve
+# `solve` is unused here, but the benchmark tracer wraps `holes.solve` by
+# name.
+from .grinberg import equation_of_graph, partitions, solvable, solve
 from .structure import CASE_II, BasisGraph, ClawReport, claw_d2_scan
 
 HAMILTONIAN = "Hamiltonian"
@@ -43,11 +47,15 @@ class Verdict:
 
 # -- hole context search -----------------------------------------------------
 
-# (surviving-face mask, face id) -> None or [child residual, feasibility]
-_Removals = Dict[Tuple[int, int], Optional[list]]
+# (surviving-face mask, face id) -> the child residual, or None when the
+# face is not removable
+_Removals = Dict[Tuple[int, int], Optional[BasisGraph]]
+# surviving-face mask -> whether that face set's equation is feasible
+_Feasible = Dict[int, bool]
 
 
-def _cx_walk(bg: BasisGraph, x: int, max_size: int, table: _Removals
+def _cx_walk(bg: BasisGraph, x: int, max_size: int, table: _Removals,
+             feasible: Optional[_Feasible] = None
              ) -> Iterator[Tuple[Tuple[int, ...], BasisGraph]]:
     """The qualifying C_x sets with their residuals, in lexicographic order.
 
@@ -56,61 +64,73 @@ def _cx_walk(bg: BasisGraph, x: int, max_size: int, table: _Removals
     its turn prunes every set that extends it.  Preorder over the walk is
     the lexicographic order of the sets.
 
-    Past the last face on x it descends only where x already qualifies:
-    deeper removals take higher ids, so faces without x, which have no
-    edge at x and change neither its degree nor its class.
+    Past the last face on x, a removal takes a face without x, which has
+    no edge at x and changes neither its degree nor its class.  So the
+    walk descends past it only where x already qualifies, and a residual
+    in which x does not qualify loops only over the faces up to it: each
+    walk step hands its qualification down.
 
-    Whether a face is removable, the residual its removal leaves and that
-    residual's feasibility depend on the face set alone, not on x.  So
-    `table` maps (surviving-face mask, face id) to None when the face is
-    not removable, else to [child residual, feasibility], the feasibility
-    solved the first time a walk needs it; the walks of one search share
-    it, and each face set is tested, removed and solved at most once.
+    Whether a face is removable and the residual its removal leaves
+    depend on the face set alone, not on x, and so does the residual's
+    feasibility, since every residual keeps bg's vertex count.  So
+    `table` maps (surviving-face mask, face id) to the child residual, or
+    None when the face is not removable, and `feasible` maps a face mask
+    to its equation's feasibility, solved the first time a walk needs it
+    (a fresh dict when left out).  The walks of one search share both,
+    and each face set is tested, removed and solved at most once.
 
     Whether x qualifies, a degree-4 boundary vertex, reads only the edges
     at x, and each lies on no face or on faces that hold x: a bridge is
     never deleted, and a face edge survives while one of its faces does
     and has weight 2 while both do.  So the test depends only on the
     surviving faces on x, and `qualifies` memoises it by that mask for
-    this walk: `vertex_class(x)` runs once per surviving subset of the
-    faces on x.
+    this walk, the root's included: `vertex_class(x)` runs once per
+    surviving subset of the faces on x.
     """
     if bg.degree(x) < 4 or max_size < 1:
         return
+    if feasible is None:
+        feasible = {}
     fids = bg.face_ids
     on_x = sum(1 << fid for fid in bg.basis.vertex_face_ids.get(x, ()))
     last = (bg.face_mask & on_x).bit_length() - 1
-    qualifies: Dict[int, bool] = {}
+    up_to_last = bisect_right(fids, last)
 
-    def walk(residual: BasisGraph, cx: Tuple[int, ...], start: int):
-        for k in range(start, len(fids)):
+    def test_at_x(residual: BasisGraph) -> bool:
+        return (residual.degree(x) == 4
+                and residual.vertex_class(x).tag == "boundary")
+
+    qualifies = {bg.face_mask & on_x: test_at_x(bg)}
+
+    def walk(residual: BasisGraph, cx: Tuple[int, ...], start: int,
+             at_residual: bool):
+        for k in range(start, len(fids) if at_residual else up_to_last):
             fid = fids[k]
             key = (residual.face_mask, fid)
             if key in table:
-                entry = table[key]
+                child = table[key]
             else:
-                entry = table[key] = ([residual.remove_face(fid), None]
+                child = table[key] = (residual.remove_face(fid)
                                       if residual.is_removable(fid) else None)
-            if entry is None:
+            if child is None:
                 continue
-            child = entry[0]
             subset = cx + (fid,)
             faces_at_x = child.face_mask & on_x
             at_x = qualifies.get(faces_at_x)
             if at_x is None:
-                at_x = qualifies[faces_at_x] = (
-                    child.degree(x) == 4
-                    and child.vertex_class(x).tag == "boundary")
+                at_x = qualifies[faces_at_x] = test_at_x(child)
             if at_x:
-                if entry[1] is None:
-                    entry[1] = solvable(equation_of_graph(child))
-                if entry[1]:
+                faces = child.face_mask
+                ok = feasible.get(faces)
+                if ok is None:
+                    ok = feasible[faces] = solvable(equation_of_graph(child))
+                if ok:
                     yield subset, child
             if len(subset) < max_size and (at_x or fid < last):
-                yield from walk(child, subset, k + 1)
+                yield from walk(child, subset, k + 1, at_x)
 
     try:
-        yield from walk(bg, (), 0)
+        yield from walk(bg, (), 0, qualifies[bg.face_mask & on_x])
     finally:
         # `walk` reaches itself through its closure, which holds `table`;
         # dropping the name ends that cycle, so neither waits for the next
@@ -139,6 +159,14 @@ def build_context(residual: BasisGraph, x: int,
     residual the C_x walk yields, C_xe is empty (see `is_global_hole`).
     The faces on x are read from the basis's ascending incidence list,
     skipping the removed ones.
+
+    The answer reads which faces on x survive, the weight of their edges
+    and whether their vertices are interior.  An edge of a face on x, or
+    at one of its vertices, lies on faces that hold a vertex of a face on
+    x, and on a residual of the full graph, or of a face set, it survives
+    while one of them does and has weight 2 while both do.  So C_k
+    depends only on the surviving faces among those, and `hole_contexts`
+    calls this only once per such subset and beginning vertex.
     """
     faces, w2 = residual.face_mask, residual.w2_mask
     basis = residual.basis
@@ -150,9 +178,21 @@ def build_context(residual: BasisGraph, x: int,
     return HoleContext(x=x, cx=cx)
 
 
+def _faces_near(basis: FaceBasis, x: int) -> int:
+    """The faces on any vertex of a face on x, as a bitset."""
+    vertex_faces = basis.vertex_face_ids
+    near = 0
+    for fid in vertex_faces.get(x, ()):
+        for v in basis.faces[fid].vertices:
+            for other in vertex_faces[v]:
+                near |= 1 << other
+    return near
+
+
 # -- the global-hole test and the hole search --------------------------------
 
-def is_global_hole(residual: BasisGraph, ctx: HoleContext) -> bool:
+def is_global_hole(residual: BasisGraph, ctx: HoleContext,
+                   feasible: Optional[_Feasible] = None) -> bool:
     """Whether peeling ctx's C_k from residual leaves an infeasible
     equation.
 
@@ -171,12 +211,22 @@ def is_global_hole(residual: BasisGraph, ctx: HoleContext) -> bool:
     already connected.  Without C_k, or with it kept, the peeled residual
     is the feasible residual itself, so there is no hole.
 
-    The peel's equation is solved before the residual is flooded, so a
-    feasible peel costs no flood.
+    The peel keeps the vertex count, so its feasibility depends on its
+    face set alone: it is read from `feasible`, the walk's map from face
+    mask to feasibility (a fresh dict when left out), and only on a miss
+    is C_k removed and the equation solved.  That happens before the
+    residual is flooded, so a feasible peel costs no flood.
     """
-    return (ctx.ck is not None
-            and not solvable(equation_of_graph(residual.remove_face(ctx.ck)))
-            and residual.connected())
+    if ctx.ck is None:
+        return False
+    if feasible is None:
+        feasible = {}
+    faces = residual.face_mask & ~(1 << ctx.ck)
+    ok = feasible.get(faces)
+    if ok is None:
+        ok = feasible[faces] = solvable(
+            equation_of_graph(residual.remove_face(ctx.ck)))
+    return not ok and residual.connected()
 
 
 def hole_contexts(g: PlanarEmbedding, bg: BasisGraph,
@@ -187,21 +237,36 @@ def hole_contexts(g: PlanarEmbedding, bg: BasisGraph,
 
     Each context is built and tested on the residual the C_x walk
     already holds, whose equation the walk has found feasible.  The walks
-    from all beginning vertices share one table of residuals and their
-    feasibility, keyed by face set, so each face set is removed and
-    solved once per search; the table is freed when the search ends or is
-    closed.
+    from all beginning vertices and the global-hole peels share one table
+    of residuals and one map of feasibility, keyed by face set, so each
+    face set is removed and solved at most once per search; both are
+    freed when the search ends or is closed.  C_k depends only on the
+    surviving faces near x, those on a vertex of a face on x (see
+    `build_context`), so each beginning vertex keeps C_k by that subset
+    and builds a context only on a miss.  The faces near x are found at
+    x's first context, since most vertices of small graphs yield none.
     """
     if max_cx < 1:
         raise ValueError("max_cx must be >= 1")
     table: _Removals = {}
+    feasible: _Feasible = {}
     try:
         for x in sorted(g.coords):
-            for cx, residual in _cx_walk(bg, x, max_cx, table):
-                ctx = build_context(residual, x, cx)
-                yield ctx, is_global_hole(residual, ctx)
+            near_x = None
+            ck_of: Dict[int, Optional[int]] = {}
+            for cx, residual in _cx_walk(bg, x, max_cx, table, feasible):
+                if near_x is None:
+                    near_x = _faces_near(bg.basis, x)
+                key = residual.face_mask & near_x
+                if key in ck_of:
+                    ctx = HoleContext(x, cx, ck_of[key])
+                else:
+                    ctx = build_context(residual, x, cx)
+                    ck_of[key] = ctx.ck
+                yield ctx, is_global_hole(residual, ctx, feasible)
     finally:
         table.clear()
+        feasible.clear()
 
 
 # -- the decision ------------------------------------------------------------
@@ -214,10 +279,13 @@ def decide(g: PlanarEmbedding, basis: Optional[FaceBasis] = None,
     Order matters: a Case II claw always decides first; an infeasible
     equation decides next (the trusted necessity direction); under the
     strict claw reading a Case I report then rules the graph out; then the
-    bounded hole search; finally certificate attempts over solution
-    partitions.  A partition's cycle is the XOR of its inside faces' edge
-    masks; one without exactly |V| edges cannot be a Hamilton cycle and is
-    skipped, and the others are checked with `is_hamilton_cycle`.
+    bounded hole search; finally certificate attempts over the first
+    `limit` solution partitions, drawn one at a time, so none is built
+    after the one that certifies.  A partition's cycle is the XOR of its
+    inside faces' edge masks; one without exactly |V| edges cannot be a
+    Hamilton cycle and is skipped, and the others are checked with
+    `is_hamilton_cycle`.  When the equation has fewer than `limit`
+    partitions, an unverified verdict says how many there were.
     """
     if claw_mode not in ("strict", "lenient"):
         raise ValueError(f"unknown claw mode {claw_mode!r}")
@@ -244,7 +312,9 @@ def decide(g: PlanarEmbedding, basis: Optional[FaceBasis] = None,
             return Verdict(GLOBAL_HOLE, hole=ctx,
                            details=f"global hole at vertex {ctx.x}")
     masks = basis.edge_masks
-    for partition in solve(eq, limit=limit):
+    tried = 0
+    for partition in islice(partitions(eq), limit):
+        tried += 1
         cycle_mask = 0
         for fid in partition.inside:
             cycle_mask ^= masks[fid]
@@ -253,7 +323,8 @@ def decide(g: PlanarEmbedding, basis: Optional[FaceBasis] = None,
         cycle = frozenset(bit_ids(cycle_mask))
         if is_hamilton_cycle(cycle, g):
             return Verdict(HAMILTONIAN, certificate=cycle)
+    which = f"its {tried}" if tried < limit else f"the first {limit}"
     return Verdict(
         UNVERIFIED,
-        details=(f"criterion claims Hamiltonian but none of the first "
-                 f"{limit} partitions certifies"))
+        details=(f"criterion claims Hamiltonian but none of {which} "
+                 f"partitions certifies"))

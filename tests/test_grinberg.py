@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,7 +7,8 @@ from polygrid import trace_faces
 from polygrid.embedding import is_hamilton_cycle
 from polygrid.grinberg import (GrinbergEquation, check_prop_3_1,
                                count_solutions, equation_of, format_equation,
-                               solvable, solve, tutte_reduced_equation,
+                               partitions, solvable, solve,
+                               tutte_reduced_equation,
                                tutte_subbasis_equation,
                                verify_grinberg_identity)
 from polygrid.oracle import gen_grid, hamilton_oracle
@@ -91,6 +93,23 @@ def test_solve_lexicographic_and_limit(grid4):
     assert solve(eq, limit=5) == sols[:5]
     with pytest.raises(ValueError):
         solve(eq, limit=0)
+
+
+def test_solve_is_the_first_partitions():
+    # solve is a prefix of the lazy enumeration, at a limit of 1 and past
+    # the number of solutions.
+    rng = random.Random(7)
+    several = 0
+    for _ in range(300):
+        lengths = [rng.randint(3, 8) for _ in range(rng.randint(0, 9))]
+        eq = GrinbergEquation.from_lengths(lengths, rng.randint(0, 30))
+        every = list(partitions(eq))
+        assert len(every) == count_solutions(eq)
+        for limit in (1, len(every) + 1):
+            assert solve(eq, limit) == list(itertools.islice(
+                partitions(eq), limit)) == every[:limit]
+        several += len(every) > 1
+    assert several > 20
 
 
 def test_solve_long_equation_without_recursion():

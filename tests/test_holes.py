@@ -5,12 +5,13 @@ from collections import Counter
 
 import pytest
 
-from polygrid import fixtures, holes, trace_faces
+from polygrid import fixtures, grinberg, holes, trace_faces
 from polygrid.holes import (CLAW, HAMILTONIAN, NO_SOLUTION, UNVERIFIED,
                             build_context, candidate_Cx, decide,
                             hole_contexts, is_global_hole)
-from polygrid.embedding import bit_ids, enclosed_faces, is_hamilton_cycle
-from polygrid.grinberg import equation_of_graph, solvable
+from polygrid.embedding import (bit_ids, enclosed_faces, is_hamilton_cycle,
+                                sym_diff_all)
+from polygrid.grinberg import equation_of_graph, partitions, solvable
 from polygrid.fixtures import _polygons_to_embedding
 from polygrid.oracle import enumerate_polyominoes, gen_grid
 from polygrid.structure import CASE_I, CASE_II, BasisGraph, claw_d2_scan
@@ -290,19 +291,28 @@ def test_single_ck_removal_matches_the_general_peel(monkeypatch,
               + _cut_tilings()
               + [bridged_blocks])
     handed = []
+    solved = set()     # face masks whose equation this search has built
+    repeats = []
     real_equation = holes.equation_of_graph
 
-    def capturing(residual):
+    def capturing(*args):
+        residual = args[0]
+        if residual.face_mask in solved:
+            repeats.append(residual.face_mask)
+        solved.add(residual.face_mask)
         handed.append(residual)
-        return real_equation(residual)
+        return real_equation(*args)
 
     monkeypatch.setattr(holes, "equation_of_graph", capturing)
     real_test = holes.is_global_hole
     seen = Counter()
 
-    def checked(residual, ctx):
+    def checked(*args):
+        residual, ctx = args[:2]
+        peeled = None if ctx.ck is None else residual.remove_face(ctx.ck)
+        known = peeled is not None and peeled.face_mask in solved
         handed.clear()
-        hole = real_test(residual, ctx)
+        hole = real_test(*args)
         if len(residual.faces_on_vertex(ctx.x)) == 2:
             # x carries a bridge the root keeps, so two faces meet there,
             # each with a weight-1 edge at x: neither can be C_k.
@@ -312,30 +322,33 @@ def test_single_ck_removal_matches_the_general_peel(monkeypatch,
             # The invariants build_context and is_global_hole rely on:
             # no face meets C_k only at x, and no second C_k is left.
             assert _scan_cxe(residual, ctx.x, ctx.ck) == []
-            assert _scan_find_ck(residual.remove_face(ctx.ck), ctx.x) == []
+            assert _scan_find_ck(peeled, ctx.x) == []
             if not residual.connected():
                 seen["ck on a disconnected residual"] += 1
-        # Only the C_k-removed residual's equation is built: the walk has
-        # found the residual itself feasible, so without C_k, or when a
-        # disconnected residual keeps it, there is no hole.
-        expected = []
-        if ctx.ck is not None:
-            expected = [residual.remove_face(ctx.ck)]
-            if not solvable(real_equation(expected[0])):
+            if not solvable(real_equation(peeled)):
                 seen["infeasible peel"] += 1
+            seen["peel solved before" if known else "peel solved"] += 1
+        # Only the C_k-removed residual's equation is built, and only when
+        # this search has not built it yet: the walk has found the
+        # residual itself feasible, so without C_k, or when a
+        # disconnected residual keeps it, there is no hole.
+        expected = [peeled] if peeled is not None and not known else []
         assert [_masks(r) for r in handed] == [_masks(r) for r in expected]
-        peeled = _reference_peel(residual, ctx)
-        assert hole == (not solvable(real_equation(peeled)))
+        general = _reference_peel(residual, ctx)
+        assert hole == (not solvable(real_equation(general)))
         return hole
 
     monkeypatch.setattr(holes, "is_global_hole", checked)
     for g in graphs:
+        solved.clear()
         for _ in hole_contexts(g, BasisGraph(g, trace_faces(g)), 3):
             seen["contexts"] += 1
+    assert repeats == []
     assert seen["contexts"] > 10000
     assert seen["ck on a disconnected residual"] >= 14
     assert seen["infeasible peel"] > 0
     assert seen["two faces at x"] > 0
+    assert seen["peel solved"] > 0 and seen["peel solved before"] > 0
 
 
 def _hamilton_cycles(g):
@@ -390,26 +403,66 @@ def test_every_hamilton_cycle_puts_a_global_hole_face_inside():
     assert seen["pairs"] >= 100 and seen["all inside"] > 0
 
 
+def _faces_near_scan(basis, x):
+    """Reference: the faces that share a vertex with a face on x."""
+    near = set().union(*(face.vertices for face in basis.faces
+                         if x in face.vertices))
+    return sum(1 << fid for fid, face in enumerate(basis.faces)
+               if face.vertices & near)
+
+
 def test_hole_contexts_calls_each_step_once_per_context(monkeypatch):
     # The search reaches its steps through the module's public names, so a
-    # wrapper installed there (as the benchmark tracer does) sees each one.
+    # wrapper installed there (as the benchmark tracer does) sees each one:
+    # the global-hole test once per context, and build_context once per
+    # beginning vertex and subset of the surviving faces near it, those on
+    # a vertex of a face on x, which are all that C_k depends on.
     calls = Counter()
+    built = []
 
     def counting(name):
         step = getattr(holes, name)
 
         def wrapper(*args):
             calls[name] += 1
+            if name == "build_context":
+                residual, x = args[:2]
+                built.append((x, residual.face_mask
+                              & _faces_near_scan(residual.basis, x)))
             return step(*args)
         return wrapper
 
     for name in ("build_context", "is_global_hole"):
         monkeypatch.setattr(holes, name, counting(name))
-    g = gen_grid(4, 5)
-    found = list(hole_contexts(g, BasisGraph(g, trace_faces(g)), 3))
-    assert found
-    assert calls == {"build_context": len(found),
-                     "is_global_hole": len(found)}
+    for g in (gen_grid(4, 5), gen_grid(5, 6)):
+        calls.clear()
+        built.clear()
+        found = list(hole_contexts(g, BasisGraph(g, trace_faces(g)), 3))
+        assert found
+        assert calls["is_global_hole"] == len(found), g.name
+        assert len(set(built)) == len(built) == calls["build_context"]
+        assert calls["build_context"] <= len(found), g.name
+    assert calls["build_context"] < len(found)
+
+
+def test_one_search_builds_each_face_sets_equation_once(monkeypatch,
+                                                        bridged_blocks):
+    # The walks and the global-hole peels share one map from face set to
+    # feasibility, so one search builds no face set's equation twice.
+    built = []
+    real_equation = holes.equation_of_graph
+
+    def recording(*args):
+        built.append(args[0].face_mask)
+        return real_equation(*args)
+
+    monkeypatch.setattr(holes, "equation_of_graph", recording)
+    for g in (gen_grid(5, 6), gen_grid(6, 4, [(1, 1), (2, 1)]),
+              bridged_blocks):
+        built.clear()
+        found = list(hole_contexts(g, BasisGraph(g, trace_faces(g)), 3))
+        assert found and built, g.name
+        assert len(set(built)) == len(built), g.name
 
 
 def _hole_clusters(m, n):
@@ -428,14 +481,17 @@ def _hole_clusters(m, n):
 def test_hole_contexts_match_the_unshared_reference(monkeypatch,
                                                    twin_nonagons):
     # The search shares each face set's removal, residual and feasibility
-    # across beginning vertices, tests x once per surviving subset of the
-    # faces on x, and scans the basis's faces on x for C_k; the reference
-    # walks every vertex afresh, tests x at every set and sorts the
-    # residual's faces on x.  The triangle patches have vertices of degree
+    # across beginning vertices and peels, tests x once per surviving
+    # subset of the faces on x, scans the basis's faces on x for C_k and
+    # keeps C_k by the surviving faces near x; the reference walks every
+    # vertex afresh, tests x at every set and sorts the residual's faces
+    # on x for every context.  The triangle patches have vertices of degree
     # 6, so the test at x is not checked on squares alone.
+    # On 6 x 6 the C_x sets also hold faces far from x, whose removal
+    # leaves the faces near x, and so C_k, as they were.
     graphs = list(enumerate_polyominoes(6))
     graphs += [gen_grid(m, n) for m in (4, 5) for n in (4, 5, 6)]
-    graphs += [twin_nonagons] + _triangle_patches()
+    graphs += [gen_grid(6, 6), twin_nonagons] + _triangle_patches()
     clusters = 0
     for m, n in ((4, 5), (4, 6)):
         for cluster in _hole_clusters(m, n):
@@ -510,6 +566,63 @@ def test_certificates_match_the_unscreened_reference(twin_nonagons):
                                                           limit), g.name
             reached[v.tag] += 1
     assert reached[HAMILTONIAN] > 0 and reached[UNVERIFIED] > 0, reached
+
+
+def test_decide_draws_no_partition_after_the_certificate(monkeypatch,
+                                                         grid4,
+                                                         twin_nonagons):
+    # decide draws its partitions one at a time, so it builds exactly the
+    # ones up to the first that certifies, which the reference finds in
+    # the full list.
+    drawn = []
+    real_partition = grinberg.GrinbergPartition
+
+    def counting(*args):
+        drawn.append(args)
+        return real_partition(*args)
+
+    graphs = [grid4, twin_nonagons, gen_grid(4, 6), gen_grid(2, 9)]
+    graphs += [g for g in enumerate_polyominoes(6) if g.order % 2 == 0]
+    certified = unread = 0
+    for g in graphs:
+        basis = trace_faces(g)
+        drawn.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(grinberg, "GrinbergPartition", counting)
+            v = decide(g, basis=basis, claw_mode="lenient")
+        if v.tag != HAMILTONIAN:
+            continue
+        every = list(partitions(equation_of_graph(BasisGraph(g, basis))))
+        cycles = [sym_diff_all(basis.faces[fid].edges for fid in p.inside)
+                  for p in every]
+        first = next(i for i, cycle in enumerate(cycles)
+                     if is_hamilton_cycle(cycle, g))
+        assert v.certificate == cycles[first], g.name
+        assert len(drawn) == first + 1, g.name
+        certified += 1
+        unread += min(len(every), 64) - len(drawn)
+    assert certified >= 20 and unread > 0
+
+
+def test_decide_says_how_many_partitions_it_tried():
+    # Both polyominoes have 7 partitions, none of which certifies; at a
+    # limit the search reaches, the message keeps its old wording.
+    polyominoes = {g.name: g for g in enumerate_polyominoes(7)}
+    for name in ("poly7_132", "poly7_384"):
+        g = polyominoes[name]
+        assert len(list(partitions(equation_of_graph(
+            BasisGraph(g, trace_faces(g)))))) == 7
+        for limit, details in ((64, "none of its 7 partitions certifies"),
+                               (8, "none of its 7 partitions certifies"),
+                               (7, "none of the first 7 partitions "
+                                   "certifies")):
+            v = decide(g, limit=limit, claw_mode="lenient")
+            assert v.tag == UNVERIFIED, name
+            assert v.details == ("criterion claims Hamiltonian but "
+                                 + details), (name, limit)
+    v = decide(gen_grid(5, 6), claw_mode="lenient")
+    assert v.details == ("criterion claims Hamiltonian but none of the "
+                         "first 64 partitions certifies")
 
 
 def test_hole_search_leaves_no_residual_alive():
