@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations_with_replacement, islice
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from .embedding import (EdgeSet, FaceBasis, PlanarEmbedding, enclosed_faces,
@@ -138,6 +138,35 @@ def solvable(eq: GrinbergEquation) -> bool:
     for length in eq.lengths:
         reach = (reach | reach << (length - 2)) & mask
     return bool(reach >> target & 1)
+
+
+def feasible_without_any(eq: GrinbergEquation, k: int) -> bool:
+    """Whether the equation stays feasible whichever k of its faces are
+    removed, its order kept.
+
+    Faces of one length are interchangeable, so each multiset of k
+    removed lengths is tried once, by one `solvable` fold over the faces
+    left.  Removing fewer faces keeps a superset of some k-removal's
+    subset sums, so True also holds for every removal of at most k
+    faces.  False at once when k removals would leave no face, or when
+    the faces left after removing the k longest sum below the target.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    lengths = eq.lengths
+    kept = len(lengths) - k
+    if kept <= 0 or sum(sorted(lengths)[:kept]) - 2 * kept < eq.target:
+        return False
+    counts = Counter(lengths)
+    for removed in combinations_with_replacement(sorted(counts), k):
+        gone = Counter(removed)
+        if any(gone[length] > counts[length] for length in gone):
+            continue
+        left = GrinbergEquation.from_lengths(
+            tuple((counts - gone).elements()), eq.order)
+        if not solvable(left):
+            return False
+    return True
 
 
 def partitions(eq: GrinbergEquation) -> Iterator[GrinbergPartition]:

@@ -19,7 +19,8 @@ from .embedding import (EdgeSet, FaceBasis, PlanarEmbedding, bit_ids,
                         is_hamilton_cycle, trace_faces)
 # `solve` is unused here, but the benchmark tracer wraps `holes.solve` by
 # name.
-from .grinberg import equation_of_graph, partitions, solvable, solve
+from .grinberg import (equation_of_graph, feasible_without_any, partitions,
+                       solvable, solve)
 from .structure import CASE_II, BasisGraph, ClawReport, claw_d2_scan
 
 HAMILTONIAN = "Hamiltonian"
@@ -286,6 +287,14 @@ def decide(g: PlanarEmbedding, basis: Optional[FaceBasis] = None,
     Hamilton cycle and is skipped, and the others are checked with
     `is_hamilton_cycle`.  When the equation has fewer than `limit`
     partitions, an unverified verdict says how many there were.
+
+    The hole search is skipped when the equation stays feasible whichever
+    `max_cx + 1` faces are removed (`feasible_without_any`).  The skip is
+    exact: a global hole needs an infeasible peel, a peel removes a C_x
+    set and C_k, at most `max_cx + 1` faces, and keeps |V| (no step
+    isolates a vertex), and removing faces never adds a subset sum.  On
+    an m x n grid it applies exactly when (m - 2)(n - 2) >= 8 and mn is
+    even.
     """
     if claw_mode not in ("strict", "lenient"):
         raise ValueError(f"unknown claw mode {claw_mode!r}")
@@ -307,10 +316,11 @@ def decide(g: PlanarEmbedding, basis: Optional[FaceBasis] = None,
     if claw_mode == "strict" and reports:
         return Verdict(CLAW, claw_reports=reports,
                        details="claw(d2) case I present (strict reading)")
-    for ctx, hole in hole_contexts(g, bg, max_cx):
-        if hole:
-            return Verdict(GLOBAL_HOLE, hole=ctx,
-                           details=f"global hole at vertex {ctx.x}")
+    if not feasible_without_any(eq, max_cx + 1):
+        for ctx, hole in hole_contexts(g, bg, max_cx):
+            if hole:
+                return Verdict(GLOBAL_HOLE, hole=ctx,
+                               details=f"global hole at vertex {ctx.x}")
     masks = basis.edge_masks
     tried = 0
     for partition in islice(partitions(eq), limit):

@@ -1,18 +1,21 @@
-"""A reference hole search and certificate loop for the tests to compare
-the library's against.  Each beginning vertex's C_x walk tests, removes and
-solves every face set it reaches afresh, sharing nothing with the walks
-from other vertices, and tests x at every set; C_k is found by a sorted
-scan of the residual's faces on x; and every partition's cycle is built
-from edge frozensets and checked as a Hamilton cycle, whatever its size."""
+"""A reference hole search, certificate loop and decision for the tests to
+compare the library's against.  Each beginning vertex's C_x walk tests,
+removes and solves every face set it reaches afresh, sharing nothing with
+the walks from other vertices, and tests x at every set; C_k is found by a
+sorted scan of the residual's faces on x; every partition's cycle is built
+from edge frozensets and checked as a Hamilton cycle, whatever its size;
+and the decision runs the hole search whenever its pipeline reaches it."""
 
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from polygrid.embedding import (EdgeSet, FaceBasis, PlanarEmbedding,
                                 is_hamilton_cycle, sym_diff_all)
 from polygrid.grinberg import (GrinbergEquation, equation_of_graph,
                                solvable, solve)
-from polygrid.holes import HoleContext, is_global_hole
-from polygrid.structure import BasisGraph
+from polygrid.holes import (CLAW, GLOBAL_HOLE, HAMILTONIAN, NO_SOLUTION,
+                            UNVERIFIED, HoleContext, Verdict, hole_contexts,
+                            is_global_hole)
+from polygrid.structure import CASE_II, BasisGraph, claw_d2_scan
 
 
 def cx_walk_reference(bg: BasisGraph, x: int, max_size: int) -> Iterator[
@@ -78,3 +81,40 @@ def certificate_reference(g: PlanarEmbedding, basis: FaceBasis,
         if is_hamilton_cycle(cycle, g):
             return cycle
     return None
+
+
+def decide_reference(g: PlanarEmbedding, basis: FaceBasis, limit: int = 64,
+                     max_cx: int = 3) -> Dict[str, Verdict]:
+    """decide's verdict in each claw mode, by its pipeline with the hole
+    search run whenever the pipeline reaches it, whatever the equation.
+    Both modes read the one search: they differ only in whether Case I
+    claws end the pipeline before it."""
+    reports = tuple(claw_d2_scan(g))
+    case2 = tuple(r for r in reports if r.severity == CASE_II)
+    if case2:
+        verdict = Verdict(CLAW, claw_reports=case2,
+                          details="claw(d2) case II present")
+        return {"strict": verdict, "lenient": verdict}
+    bg = BasisGraph(g, basis)
+    eq = equation_of_graph(bg)
+    if not solvable(eq):
+        verdict = Verdict(NO_SOLUTION, details="equation has no solution")
+        return {"strict": verdict, "lenient": verdict}
+    hole = next((ctx for ctx, is_hole in hole_contexts(g, bg, max_cx)
+                 if is_hole), None)
+    if hole is not None:
+        searched = Verdict(GLOBAL_HOLE, hole=hole,
+                           details=f"global hole at vertex {hole.x}")
+    else:
+        cycle = certificate_reference(g, basis, eq, limit)
+        tried = len(solve(eq, limit=limit))
+        which = f"its {tried}" if tried < limit else f"the first {limit}"
+        searched = (Verdict(HAMILTONIAN, certificate=cycle)
+                    if cycle is not None else
+                    Verdict(UNVERIFIED, details=(
+                        f"criterion claims Hamiltonian but none of {which} "
+                        f"partitions certifies")))
+    strict = (Verdict(CLAW, claw_reports=reports,
+                      details="claw(d2) case I present (strict reading)")
+              if reports else searched)
+    return {"strict": strict, "lenient": searched}

@@ -1,12 +1,14 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from polygrid import trace_faces
 from polygrid.embedding import is_hamilton_cycle
 from polygrid.grinberg import (GrinbergEquation, check_prop_3_1,
-                               count_solutions, equation_of, format_equation,
+                               count_solutions, equation_of,
+                               feasible_without_any, format_equation,
                                partitions, solvable, solve,
                                tutte_reduced_equation,
                                tutte_subbasis_equation,
@@ -129,6 +131,33 @@ def test_solve_matches_bruteforce():
                 want.add(sub)
     assert got == want
     assert count_solutions(eq) == len(want)
+
+
+def test_feasible_without_any_matches_bruteforce():
+    # Mixed lengths take the path that enumerates several removed-length
+    # multisets, which square lattices never reach.  k runs from 0 to past
+    # the face count, where removing k faces is not possible.
+    rng = random.Random(11)
+    seen = Counter()
+    for _ in range(400):
+        lengths = [rng.randint(3, 8) for _ in range(rng.randint(0, 10))]
+        eq = GrinbergEquation.from_lengths(lengths, rng.randint(2, 12))
+        for k in range(len(lengths) + 3):
+            want = k <= len(lengths) and all(
+                solvable(GrinbergEquation.from_lengths(
+                    [length for i, length in enumerate(lengths)
+                     if i not in gone], eq.order))
+                for gone in map(set, itertools.combinations(
+                    range(len(lengths)), k)))
+            assert feasible_without_any(eq, k) == want, (lengths, eq.order, k)
+            kept = len(lengths) - k
+            screened = (kept <= 0 or sum(sorted(lengths)[:kept]) - 2 * kept
+                        < eq.target)
+            seen[want, screened, len(set(lengths)) > 1] += 1
+    # Both outcomes past the screen, on mixed lengths.
+    assert seen[True, False, True] > 100 and seen[False, False, True] > 100
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        feasible_without_any(GrinbergEquation.from_lengths((4, 4), 6), -1)
 
 
 def test_count_solutions_degenerate():

@@ -6,17 +6,19 @@ from collections import Counter
 import pytest
 
 from polygrid import fixtures, grinberg, holes, trace_faces
-from polygrid.holes import (CLAW, HAMILTONIAN, NO_SOLUTION, UNVERIFIED,
-                            build_context, candidate_Cx, decide,
+from polygrid.holes import (CLAW, GLOBAL_HOLE, HAMILTONIAN, NO_SOLUTION,
+                            UNVERIFIED, build_context, candidate_Cx, decide,
                             hole_contexts, is_global_hole)
 from polygrid.embedding import (bit_ids, enclosed_faces, is_hamilton_cycle,
                                 sym_diff_all)
-from polygrid.grinberg import equation_of_graph, partitions, solvable
+from polygrid.grinberg import (equation_of_graph, feasible_without_any,
+                               partitions, solvable)
 from polygrid.fixtures import _polygons_to_embedding
 from polygrid.oracle import enumerate_polyominoes, gen_grid
 from polygrid.structure import CASE_I, CASE_II, BasisGraph, claw_d2_scan
 
-from holes_reference import certificate_reference, hole_contexts_reference
+from holes_reference import (certificate_reference, decide_reference,
+                             hole_contexts_reference)
 
 
 def vertex_at(g, xy):
@@ -626,9 +628,9 @@ def test_decide_says_how_many_partitions_it_tried():
 
 
 def test_hole_search_leaves_no_residual_alive():
-    # 4x5 stops at its first global hole, with the search still open;
-    # 5x6 searches every context.  Neither may leave a residual for the
-    # cyclic collector.
+    # decide on 4x5 stops at its first global hole, with the search still
+    # open; the search on 5x6, which decide skips, runs to its end.
+    # Neither may leave a residual for the cyclic collector.
     def residuals():
         return [o for o in gc.get_objects() if isinstance(o, BasisGraph)]
 
@@ -636,13 +638,67 @@ def test_hole_search_leaves_no_residual_alive():
     before = residuals()
     gc.disable()
     try:
-        assert decide(gen_grid(4, 5), claw_mode="lenient").tag == \
-            holes.GLOBAL_HOLE
-        assert decide(gen_grid(5, 6), claw_mode="lenient").tag == UNVERIFIED
+        assert decide(gen_grid(4, 5), claw_mode="lenient").tag == GLOBAL_HOLE
+        g = gen_grid(5, 6)
+        found = list(hole_contexts(g, BasisGraph(g, trace_faces(g)), 3))
+        assert found and not any(hole for _, hole in found)
         left = [r for r in residuals() if not any(r is b for b in before)]
     finally:
         gc.enable()
     assert left == []
+
+
+def test_skipping_the_hole_search_is_exact(twin_nonagons):
+    # decide skips the hole search when the equation stays feasible
+    # whichever max_cx + 1 faces are removed.  In both claw modes it must
+    # hand back the verdict of the reference, which searches whenever its
+    # pipeline gets that far.  Wherever the bound holds, the reference's
+    # lenient search runs to its end, so it must have found no hole.
+    rng = random.Random(28)
+    graphs = list(enumerate_polyominoes(7))
+    graphs += [gen_grid(m, n) for m in range(2, 8) for n in range(2, 9)]
+    for m, n in ((4, 6), (5, 6), (6, 6), (6, 7)):
+        for cluster in rng.sample(_hole_clusters(m, n), 2):
+            graphs.append(gen_grid(m, n, cluster))
+            graphs.append(gen_grid(n, m, [(y, x) for x, y in cluster]))
+    graphs += [twin_nonagons] + _cut_tilings() + _triangle_patches()
+    bounded = Counter()
+    for g in graphs:
+        basis = trace_faces(g)
+        bg = BasisGraph(g, basis)
+        want = decide_reference(g, basis)
+        if feasible_without_any(equation_of_graph(bg), 4):
+            assert want["lenient"].tag in (HAMILTONIAN, UNVERIFIED), g.name
+            bounded[len(set(bg.lengths)) > 1] += 1
+        for mode in ("strict", "lenient"):
+            assert decide(g, basis=basis, claw_mode=mode) == want[mode], \
+                (g.name, mode)
+    # Rectangles, and holed grids whose hole is a hexagon or an octagon.
+    assert bounded[False] >= 10 and bounded[True] >= 4, bounded
+
+
+def test_decide_walks_only_where_the_bound_fails(monkeypatch):
+    # Where the bound holds, lenient decide takes no step of the hole
+    # search; 4x5 lies outside it and still peels, down to its global hole.
+    calls = Counter()
+
+    def counting(owner, name):
+        step = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return step(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("remove_face", "is_removable", "vertex_class"):
+        counting(BasisGraph, name)
+    for name in ("build_context", "is_global_hole"):
+        counting(holes, name)
+    for g in (gen_grid(5, 6), gen_grid(6, 7)):
+        assert decide(g, claw_mode="lenient").tag == UNVERIFIED
+        assert not calls, (g.name, calls)
+    assert decide(gen_grid(4, 5), claw_mode="lenient").tag == GLOBAL_HOLE
+    assert calls["is_global_hole"] > 0 and calls["remove_face"] > 0, calls
 
 
 def test_decide_square(square):
