@@ -137,7 +137,7 @@ class PlanarEmbedding:
         for i, (u, v) in enumerate(self.edges):
             if u == v:
                 raise PggParseError(f"self-loop at vertex {u}", edge=i)
-            key = frozenset((u, v))
+            key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise PggParseError(f"duplicate edge {u} {v}", edge=i)
             seen.add(key)
@@ -156,19 +156,20 @@ class PlanarEmbedding:
         Each edge is filed under both ends by the exact key of its
         direction there, counterclockwise from east: `(0, 0)` east,
         `(1, -dx/dy)` for dy > 0, `(2, 0)` west and `(3, -dx/dy)` for
-        dy < 0, the slope a `Fraction`.  Sorting a vertex's entries by key
-        and edge index gives its rotation.  Positions are distinct, so two
-        edges at a common vertex overlap exactly when they leave it on
-        the same key, and the first two entries of a run of equal keys
-        are its smallest (i, j).  Edges with no common endpoint are
-        bucketed into square cells whose side is the longest edge extent,
-        so each segment's bounding box touches at most four cells and only
-        segments sharing a cell are compared, in ascending (i, j) order
-        until a pair crosses or passes the smallest overlap.  The smaller
-        of the two is reported.  Then each vertex, in the order of
-        `coords`, is tested against the edges of its own cell in edge
-        order, so the first error is the one a scan of all pairs would
-        report.
+        dy < 0, the slope a `Fraction`, or the int 0 for a vertical edge,
+        which sorts and compares as `Fraction(0)` does.  Sorting a
+        vertex's entries by key and edge index gives its rotation.
+        Positions are distinct, so two edges at a common vertex overlap
+        exactly when they leave it on the same key, and the first two
+        entries of a run of equal keys are its smallest (i, j).  Edges with
+        no common endpoint are bucketed into square cells whose side is the
+        longest edge extent, so each segment's bounding box touches at most
+        four cells and only segments sharing a cell are compared, in
+        ascending (i, j) order until a pair crosses or passes the smallest
+        overlap.  The smaller of the two is reported.  Then each vertex, in
+        the order of `coords`, is tested against the edges of its own cell
+        in edge order, so the first error is the one a scan of all pairs
+        would report.
         """
         edges = self.edges
         segs = [(self.coords[u], self.coords[v]) for u, v in edges]
@@ -176,7 +177,8 @@ class PlanarEmbedding:
         for i, ((u, v), (a, b)) in enumerate(zip(edges, segs)):
             dx, dy = b[0] - a[0], b[1] - a[1]
             if dy:
-                half, slope = (1 if dy > 0 else 3), Fraction(-dx, dy)
+                half = 1 if dy > 0 else 3
+                slope = Fraction(-dx, dy) if dx else 0
             else:
                 half, slope = (0 if dx > 0 else 2), 0
             leaving[u].append(((half, slope), i, v))
@@ -405,10 +407,15 @@ def trace_faces(g: PlanarEmbedding) -> FaceBasis:
     The dart u->v is followed by v->w, where w comes just before u in
     `rotation[v]`; one map takes each dart to that w and to its edge id,
     read from the incident-edge masks.  Orbits start from the darts in
-    sorted order.  Bounded faces come out as counterclockwise simple
-    cycles; the unique clockwise (negative area) orbit is the outer face
-    and is kept aside.  The basis size always equals |E| - |V| + 1, and
-    a tree, which has no bounded face, is rejected before tracing.
+    sorted order, and each traces the face on the left of its darts, so
+    bounded faces come out as counterclockwise simple cycles.  The outer
+    face is the orbit through the dart from the lowest-then-leftmost
+    vertex to the last neighbour in its rotation, and is kept aside: all
+    of that vertex's neighbours lie in directions from 0 up to but not
+    including 180 degrees, so the face left of that dart holds the
+    directions below the vertex, which are outside every bounded face.
+    The basis size always equals |E| - |V| + 1, and a tree, which has no
+    bounded face, is rejected before tracing.
     """
     expected = g.size - g.order + 1
     if expected == 0:
@@ -418,30 +425,28 @@ def trace_faces(g: PlanarEmbedding) -> FaceBasis:
     for v, rot in g.rotation.items():
         for k, u in enumerate(rot):
             step[u, v] = rot[k - 1], (masks[u] & masks[v]).bit_length() - 1
+    low = min((y, x, v) for v, (x, y) in g.coords.items())[2]
+    outer_dart = (low, g.rotation[low][-1])
     bounded: List[Face] = []
     outer = outer_edges = None
     for dart in sorted(step):
         if dart not in step:
             continue
         walk: List[int] = []
-        edge_ids: Set[int] = set()
+        edge_ids: List[int] = []
         u, v = dart
         while (u, v) in step:
             w, eid = step.pop((u, v))
             walk.append(u)
-            edge_ids.add(eid)
+            edge_ids.append(eid)
             u, v = v, w
-        if geometry.signed_area2([g.coords[x] for x in walk]) < 0:
-            if outer is not None:
-                raise EmbeddingError("multiple outer faces traced")
+        if outer is None and outer_dart not in step:
             outer, outer_edges = walk, edge_ids
             continue
         if len(set(walk)) != len(walk):
             raise EmbeddingError(
                 f"bounded face walk revisits a vertex: {walk}")
         bounded.append(Face(edges=frozenset(edge_ids), cycle=tuple(walk)))
-    if outer is None:
-        raise EmbeddingError("no outer face traced")
     if len(bounded) != expected:
         raise EmbeddingError(
             f"traced {len(bounded)} bounded faces, expected {expected}")
@@ -524,12 +529,39 @@ def classify_edge_set(e: EdgeSet, g: PlanarEmbedding) -> CycleClass:
 
 def is_hamilton_cycle(e: EdgeSet, g: PlanarEmbedding) -> bool:
     """Whether e is one cycle through every vertex of g; False when any id
-    in e is not an edge id of g (a negative one included)."""
+    in e is not an edge id of g (a negative one included).
+
+    On the edge mask of e: it must hold |V| edges, and a walk along it
+    from any vertex must first return after |V| steps, meeting at each
+    vertex it reaches exactly two edges of the mask.  Such a walk reaches
+    every vertex, so each has degree 2 in e, and it goes once round a
+    cycle of |V| edges, which are then all of e.
+    """
     size = g.size
     if any(not 0 <= eid < size for eid in e):
         return False
-    c = classify_edge_set(e, g)
-    return c.tag == "single-cycle" and c.length == g.order
+    mask = 0
+    for eid in e:
+        mask |= 1 << eid
+    n = g.order
+    if mask.bit_count() != n:
+        return False
+    incident = g.incident_edge_masks
+    ends = g.edges
+    start = v = next(iter(incident))
+    came = 0
+    for steps in range(1, n + 1):
+        at = incident[v] & mask
+        if at.bit_count() != 2:
+            return False
+        out = at & ~came
+        out &= -out
+        a, b = ends[out.bit_length() - 1]
+        v = b if a == v else a
+        if v == start:
+            return steps == n
+        came = out
+    return False
 
 
 def cycle_vertex_walk(e: EdgeSet, g: PlanarEmbedding) -> List[int]:

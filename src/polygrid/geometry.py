@@ -1,4 +1,4 @@
-"""Exact integer plane geometry for planarity validation and face tracing.
+"""Exact integer plane geometry for planarity validation.
 
 All predicates are exact: inputs are integer lattice points and every
 comparison is done in integer arithmetic, so there are no tolerance knobs
@@ -6,10 +6,6 @@ anywhere.
 """
 
 from __future__ import annotations
-
-from typing import Sequence, Tuple
-
-Point = Tuple[int, int]
 
 
 def cross(o, a, b):
@@ -65,13 +61,3 @@ def segments_cross(a, b, c, d) -> bool:
         return True
     return False
 
-
-def signed_area2(polygon: Sequence[Point]):
-    """Twice the signed area of the (possibly non-simple) closed walk."""
-    total = 0
-    n = len(polygon)
-    for i in range(n):
-        x1, y1 = polygon[i]
-        x2, y2 = polygon[(i + 1) % n]
-        total += x1 * y2 - x2 * y1
-    return total

@@ -80,6 +80,14 @@ def _cx_walk(bg: BasisGraph, x: int, max_size: int, table: _Removals,
     (a fresh dict when left out).  The walks of one search share both,
     and each face set is tested, removed and solved at most once.
 
+    The walk does not descend below a residual whose equation is
+    infeasible.  The prune is exact: each removal keeps the vertex count,
+    and so the equation's target, and takes a face away, which adds no
+    subset sum, so every extension of an infeasible face set is
+    infeasible too, and the walk yields only feasible residuals.  So the
+    walk solves, through `feasible`, each child it would yield or descend
+    into.
+
     Whether x qualifies, a degree-4 boundary vertex, reads only the edges
     at x, and each lies on no face or on faces that hold x: a bridge is
     never deleted, and a face edge survives while one of its faces does
@@ -120,14 +128,18 @@ def _cx_walk(bg: BasisGraph, x: int, max_size: int, table: _Removals,
             at_x = qualifies.get(faces_at_x)
             if at_x is None:
                 at_x = qualifies[faces_at_x] = test_at_x(child)
+            descend = len(subset) < max_size and (at_x or fid < last)
+            if not (at_x or descend):
+                continue
+            faces = child.face_mask
+            ok = feasible.get(faces)
+            if ok is None:
+                ok = feasible[faces] = solvable(equation_of_graph(child))
+            if not ok:
+                continue
             if at_x:
-                faces = child.face_mask
-                ok = feasible.get(faces)
-                if ok is None:
-                    ok = feasible[faces] = solvable(equation_of_graph(child))
-                if ok:
-                    yield subset, child
-            if len(subset) < max_size and (at_x or fid < last):
+                yield subset, child
+            if descend:
                 yield from walk(child, subset, k + 1, at_x)
 
     try:

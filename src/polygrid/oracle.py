@@ -252,8 +252,10 @@ def hamilton_oracle(g: PlanarEmbedding, budget: int = 10 ** 6) -> OracleResult:
         return OracleResult(None, nodes, False)
     # `path` holds the cycle's vertices after the start, last first.
     path.append(0)
+    masks = g.incident_edge_masks
+    edges_at = [masks[vertices[i]] for i in path]
     cycle = frozenset(
-        g.edge_id(vertices[path[i - 1]], vertices[path[i]]) for i in range(n))
+        (edges_at[i - 1] & edges_at[i]).bit_length() - 1 for i in range(n))
     assert is_hamilton_cycle(cycle, g)
     return OracleResult(cycle, nodes, False)
 

@@ -77,7 +77,10 @@ class BasisGraph:
         self.face_mask = faces
         self.edge_mask = (1 << g.size) - 1 if face_ids is None else covered
         self.w2_mask = w2
-        self.order = len(self.vertices())
+        # The root keeps every edge, and every vertex of a connected graph
+        # with an edge has one.
+        self.order = (g.order if face_ids is None
+                      else len(self.vertices()))
 
     # -- derived structure ---------------------------------------------------
 
@@ -199,7 +202,7 @@ def claw_d2_scan(g: PlanarEmbedding) -> List[ClawReport]:
         neighbours = g.rotation[v]
         if len(neighbours) < 3:
             continue
-        d2 = sum(1 for w in neighbours if g.degree(w) == 2)
+        d2 = sum(1 for w in neighbours if len(g.rotation[w]) == 2)
         if d2 >= 2:
             severity = CASE_I if d2 == 2 else CASE_II
             reports.append(ClawReport(v, len(neighbours), d2, severity))

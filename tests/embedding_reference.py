@@ -1,12 +1,11 @@
 """Reference rotation and face tracing for the tests to compare the
 library's embedding against: a cross-product comparator sort and a dart
 walk that looks each step up in the rotation and each face edge up by
-`edge_id`."""
+`edge_id`, and tells the outer face by its negative signed area."""
 
 import functools
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from polygrid import geometry
 from polygrid.embedding import (EmbeddingError, Face, FaceBasis,
                                 PlanarEmbedding)
 
@@ -47,6 +46,17 @@ def rotation_reference(g: PlanarEmbedding) -> Dict[int, Tuple[int, ...]]:
             for v, ns in neighbours.items()}
 
 
+def signed_area2(polygon: Sequence[Tuple[int, int]]) -> int:
+    """Twice the signed area of the (possibly non-simple) closed walk."""
+    total = 0
+    n = len(polygon)
+    for i in range(n):
+        x1, y1 = polygon[i]
+        x2, y2 = polygon[(i + 1) % n]
+        total += x1 * y2 - x2 * y1
+    return total
+
+
 def trace_faces_reference(g: PlanarEmbedding) -> FaceBasis:
     """The faces of g by a dart walk: orbits from the darts in sorted
     order, each step found by `rot.index`, each face edge by `edge_id`."""
@@ -69,7 +79,7 @@ def trace_faces_reference(g: PlanarEmbedding) -> FaceBasis:
     outer = None
     for walk in orbits:
         poly = [g.coords[w] for w in walk]
-        area2 = geometry.signed_area2(poly)
+        area2 = signed_area2(poly)
         if area2 < 0:
             if outer is not None:
                 raise EmbeddingError("multiple outer faces traced")

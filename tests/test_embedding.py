@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import re
@@ -12,7 +13,8 @@ from polygrid.embedding import (EmbeddingError, PlanarEmbedding,
 from polygrid.oracle import enumerate_polyominoes, gen_grid, hamilton_oracle
 from polygrid.subbases import reduce_to_Gg
 
-from embedding_reference import rotation_reference
+from embedding_reference import (rotation_reference, signed_area2,
+                                 trace_faces_reference)
 
 SQUARE_PGG = """\
 graph square
@@ -234,6 +236,48 @@ def test_trace_rejects_a_face_walk_that_revisits_a_vertex(side, inner,
         trace_faces(g)
 
 
+def test_signed_area_orientation():
+    unit = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    assert signed_area2(unit) == 2
+    assert signed_area2(list(reversed(unit))) == -2
+
+
+@pytest.mark.parametrize("coords, edges", [
+    # A unit square above a pendant edge that leaves the lowest vertex
+    # north.
+    ({1: (0, 0), 2: (0, 1), 3: (1, 1), 4: (1, 2), 5: (0, 2)},
+     [(1, 2), (2, 3), (3, 4), (4, 5), (5, 2)]),
+    # ... that leaves it north-west, toward the square's lower right corner.
+    ({1: (2, 0), 2: (0, 1), 3: (1, 1), 4: (1, 2), 5: (0, 2)},
+     [(1, 3), (2, 3), (3, 4), (4, 5), (5, 2)]),
+    # ... that leaves it east, to the square's lower left corner.
+    ({1: (0, 0), 2: (1, 0), 3: (2, 0), 4: (2, 1), 5: (1, 1)},
+     [(1, 2), (2, 3), (3, 4), (4, 5), (5, 2)]),
+    # A triangle whose lowest row is one edge; its left end has only that
+    # east edge.
+    ({1: (0, 0), 2: (3, 0), 3: (2, 1), 4: (4, 2)},
+     [(1, 2), (2, 3), (3, 4), (4, 2)]),
+    # Two squares joined at the lowest vertex's only neighbour, east of it.
+    ({1: (0, 0), 2: (1, 0), 3: (2, 0), 4: (2, 1), 5: (1, 1), 6: (0, 1),
+      7: (0, 2), 8: (1, 2)},
+     [(1, 2), (2, 3), (3, 4), (4, 5), (5, 2), (5, 6), (6, 7), (7, 8),
+      (8, 5)]),
+])
+def test_trace_finds_the_outer_face_at_a_pendant_lowest_vertex(coords,
+                                                                edges):
+    # trace_faces takes as outer face the orbit left of the dart from the
+    # lowest-then-leftmost vertex to its last neighbour; the reference
+    # takes the orbit of negative area.  Here that vertex has one edge,
+    # so both of its darts lie on the outer face.
+    g = PlanarEmbedding(coords, edges)
+    low = min(g.coords, key=lambda v: g.coords[v][::-1])
+    assert g.degree(low) == 1
+    basis = trace_faces(g)
+    assert basis == trace_faces_reference(g)
+    assert low in basis.outer_walk
+    assert not any(low in face.vertices for face in basis.faces)
+
+
 def test_trace_rejects_a_tree():
     for coords, edges in (({1: (0, 0)}, []),
                           ({1: (0, 0), 2: (1, 0)}, [(1, 2)]),
@@ -340,6 +384,56 @@ def test_is_hamilton_cycle(square, domino):
     assert not is_hamilton_cycle(db.faces[0].edges, domino)
     perimeter = db.faces[0].edges ^ db.faces[1].edges
     assert is_hamilton_cycle(perimeter, domino)
+
+
+def _hamilton_by_classify(e, g):
+    """The definition is_hamilton_cycle had before it worked on edge
+    masks: every id an edge of g, and e one cycle of |V| edges."""
+    if any(not 0 <= eid < g.size for eid in e):
+        return False
+    c = classify_edge_set(e, g)
+    return c.tag == "single-cycle" and c.length == g.order
+
+
+def _hamilton_check_cases():
+    """The oracle's cycles of the polyominoes of <= 7 cells; each with one
+    edge dropped, with that edge swapped for each edge off the cycle and
+    with an id out of range added in its place; and the empty set."""
+    for g in enumerate_polyominoes(7):
+        cycle = hamilton_oracle(g).found
+        yield g, frozenset()
+        if cycle is None:
+            continue
+        yield g, cycle
+        dropped = cycle - {min(cycle)}
+        yield g, dropped
+        for eid in range(g.size):
+            if eid not in cycle:
+                yield g, dropped | {eid}
+        for bad in (-1, -g.size, g.size, g.size + 5):
+            yield g, dropped | {bad}
+
+
+def test_is_hamilton_cycle_matches_the_classify_definition():
+    counts = collections.Counter()
+    for g, e in _hamilton_check_cases():
+        want = _hamilton_by_classify(e, g)
+        assert is_hamilton_cycle(e, g) == want, (g.name, sorted(e))
+        counts[want] += 1
+    assert counts[True] > 800 and counts[False] > 9000, counts
+
+
+def test_is_hamilton_cycle_rejects_two_disjoint_squares():
+    # |V| edges, two at every vertex, but two components.
+    g = gen_grid(4, 2)
+    basis = trace_faces(g)
+    cells = [next(face.edges for face in basis.faces
+                  if min(g.coords[v] for v in face.vertices) == corner)
+             for corner in ((0, 0), (2, 0))]
+    e = cells[0] | cells[1]
+    assert len(e) == g.order
+    assert classify_edge_set(e, g).tag == "disjoint-cycles"
+    assert not is_hamilton_cycle(e, g)
 
 
 def test_enclosed_faces_square(square):

@@ -1,8 +1,6 @@
 from itertools import product
 
-from polygrid.geometry import cross, on_segment, segments_cross, signed_area2
-
-UNIT = [(0, 0), (1, 0), (1, 1), (0, 1)]
+from polygrid.geometry import cross, on_segment, segments_cross
 
 
 def test_segments_cross_basic():
@@ -56,7 +54,3 @@ def test_shared_endpoint_needs_no_containment_check():
                     _shared_endpoint_cross_with_containment_check(a, b, *seg)
     assert pairs == 55200
 
-
-def test_signed_area_orientation():
-    assert signed_area2(UNIT) == 2
-    assert signed_area2(list(reversed(UNIT))) == -2

@@ -1,7 +1,9 @@
 import gc
+import importlib.util
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -480,6 +482,29 @@ def _hole_clusters(m, n):
             >= k - 1]
 
 
+def _decide_grid_holed_grids():
+    """The holed grids of the benchmark's decide-grid workload, seeds 1
+    and 2."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    graphs = {}
+    for seed in (1, 2):
+        for g in workloads.DecideGrid().build(seed):
+            if "holes" in g.name:
+                graphs[g.name] = g
+    return list(graphs.values())
+
+
+def _pruned_walk_corpus():
+    """The polyominoes of <= 7 cells and the decide-grid holed grids."""
+    graphs = list(enumerate_polyominoes(7)) + _decide_grid_holed_grids()
+    assert len(graphs) == 1067 + 22
+    return graphs
+
+
 def test_hole_contexts_match_the_unshared_reference(monkeypatch,
                                                    twin_nonagons):
     # The search shares each face set's removal, residual and feasibility
@@ -487,11 +512,14 @@ def test_hole_contexts_match_the_unshared_reference(monkeypatch,
     # subset of the faces on x, scans the basis's faces on x for C_k and
     # keeps C_k by the surviving faces near x; the reference walks every
     # vertex afresh, tests x at every set and sorts the residual's faces
-    # on x for every context.  The triangle patches have vertices of degree
-    # 6, so the test at x is not checked on squares alone.
+    # on x for every context.  The search also stops below residuals whose
+    # equation is infeasible, where the reference descends and yields
+    # nothing; the benchmark's holed grids of odd order have an infeasible
+    # root.  The triangle patches have vertices of degree 6, so the test
+    # at x is not checked on squares alone.
     # On 6 x 6 the C_x sets also hold faces far from x, whose removal
     # leaves the faces near x, and so C_k, as they were.
-    graphs = list(enumerate_polyominoes(6))
+    graphs = _pruned_walk_corpus()
     graphs += [gen_grid(m, n) for m in (4, 5) for n in (4, 5, 6)]
     graphs += [gen_grid(6, 6), twin_nonagons] + _triangle_patches()
     clusters = 0
@@ -547,6 +575,74 @@ def test_x_is_tested_once_per_surviving_face_subset(monkeypatch):
             assert all(v == x for v, _ in keys), (g.name, x)
             tested += len(keys)
     assert tested > 0
+
+
+def test_the_walk_descends_only_below_feasible_residuals(monkeypatch):
+    # Removing a face keeps |V| and removes subset sums, so no extension
+    # of an infeasible face set is feasible: the walk must not test or
+    # remove a face of any residual but the root whose equation is
+    # infeasible.  The unpruned reference walk tests a strict superset of
+    # the (face set, face) pairs.
+    tested = []
+    residuals = []
+    real_test = BasisGraph.is_removable
+    real_remove = BasisGraph.remove_face
+
+    def testing(self, fid):
+        tested.append((self.face_mask, fid))
+        residuals.append(self)
+        return real_test(self, fid)
+
+    def removing(self, fid):
+        residuals.append(self)
+        return real_remove(self, fid)
+
+    lib_pairs = ref_pairs = 0
+    for g in _pruned_walk_corpus():
+        bg = BasisGraph(g, trace_faces(g))
+        tested.clear()
+        residuals.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(BasisGraph, "is_removable", testing)
+            patch.setattr(BasisGraph, "remove_face", removing)
+            list(hole_contexts(g, bg, 3))
+            walked, below = set(tested), residuals[:]
+            tested.clear()
+            list(hole_contexts_reference(g, bg, 3))
+            unpruned = set(tested)
+        infeasible = {r.face_mask for r in below
+                      if r.face_mask != bg.face_mask
+                      and not solvable(equation_of_graph(r))}
+        assert not infeasible, g.name
+        assert walked <= unpruned, g.name
+        lib_pairs += len(walked)
+        ref_pairs += len(unpruned)
+    assert lib_pairs < ref_pairs // 2, (lib_pairs, ref_pairs)
+
+
+def test_lenient_decide_removes_fewer_faces_than_the_unpruned_walk(
+        monkeypatch):
+    # Over the polyominoes of <= 7 cells the pruned walk removes 1,977
+    # faces and tests 5,671 for removability; walking below infeasible
+    # residuals too, it removed 2,920 and tested 12,153.  Verdicts are the
+    # same either way (see the reference tests above).
+    calls = Counter()
+
+    def counting(name):
+        step = getattr(BasisGraph, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return step(*args)
+        monkeypatch.setattr(BasisGraph, name, wrapper)
+
+    counting("remove_face")
+    counting("is_removable")
+    tags = Counter(decide(g, claw_mode="lenient").tag
+                   for g in enumerate_polyominoes(7))
+    assert tags == {HAMILTONIAN: 844, NO_SOLUTION: 221, UNVERIFIED: 2}
+    assert calls["remove_face"] <= 2200, calls
+    assert calls["is_removable"] <= 6000, calls
 
 
 def test_certificates_match_the_unscreened_reference(twin_nonagons):
