@@ -510,15 +510,25 @@ class CycleClass:
     count: int = 0              # component count when tag == "disjoint-cycles"
 
 
-def classify_edge_set(e: EdgeSet, g: PlanarEmbedding) -> CycleClass:
-    """Degree-and-connectivity analysis of the subgraph touched by e."""
-    if not e:
-        return CycleClass("empty")
+def _adjacency(e: EdgeSet, g: PlanarEmbedding) -> Dict[int, List[int]]:
+    """The neighbours of each vertex in the subgraph of the edges e;
+    ValueError when an id in e is not an edge id of g."""
     adj: Dict[int, List[int]] = {}
     for eid in e:
+        if not 0 <= eid < g.size:
+            raise ValueError(f"{eid} is not an edge id of {g.name}")
         u, v = g.edges[eid]
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
+    return adj
+
+
+def classify_edge_set(e: EdgeSet, g: PlanarEmbedding) -> CycleClass:
+    """Degree-and-connectivity analysis of the subgraph touched by e;
+    ValueError when an id in e is not an edge id of g."""
+    adj = _adjacency(e, g)
+    if not adj:
+        return CycleClass("empty")
     if any(len(ns) != 2 for ns in adj.values()):
         return CycleClass("other")
     count = len(components(adj))
@@ -568,24 +578,20 @@ def cycle_vertex_walk(e: EdgeSet, g: PlanarEmbedding) -> List[int]:
     """Order the vertices of a single cycle by walking it.
 
     Starts at the smallest touched vertex, toward its smaller neighbour;
-    deterministic for golden output.
+    deterministic for golden output.  ValueError when e is not one cycle.
     """
-    adj: Dict[int, List[int]] = {}
-    for eid in e:
-        u, v = g.edges[eid]
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
+    adj = _adjacency(e, g)
+    if not adj or any(len(ns) != 2 for ns in adj.values()):
+        raise ValueError("edge set is not a single cycle")
     start = min(adj)
     walk = [start]
-    prev = None
-    cur = start
-    while True:
-        nxt = min(w for w in adj[cur] if w != prev) if prev is None else next(
-            w for w in adj[cur] if w != prev)
-        if nxt == start:
-            break
-        walk.append(nxt)
-        prev, cur = cur, nxt
+    prev, cur = start, min(adj[start])
+    while cur != start:
+        walk.append(cur)
+        a, b = adj[cur]
+        prev, cur = cur, b if a == prev else a
+    if len(walk) != len(e):
+        raise ValueError("edge set is not a single cycle")
     return walk
 
 

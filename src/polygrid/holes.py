@@ -56,14 +56,16 @@ _Feasible = Dict[int, bool]
 
 
 def _cx_walk(bg: BasisGraph, x: int, max_size: int, table: _Removals,
-             feasible: Optional[_Feasible] = None
+             feasible: _Feasible
              ) -> Iterator[Tuple[Tuple[int, ...], BasisGraph]]:
     """The qualifying C_x sets with their residuals, in lexicographic order.
 
-    A depth-first walk over ascending face ids: each set extends its
+    A depth-first walk over ascending face ids, on an explicit stack of
+    (residual, C_x set, face positions left) frames: each set extends its
     prefix's residual by one removal, and a face that is not removable at
-    its turn prunes every set that extends it.  Preorder over the walk is
-    the lexicographic order of the sets.
+    its turn prunes every set that extends it.  A frame that descends
+    pushes its child and resumes once the child is exhausted and popped,
+    so preorder over the walk is the lexicographic order of the sets.
 
     Past the last face on x, a removal takes a face without x, which has
     no edge at x and changes neither its degree nor its class.  So the
@@ -76,9 +78,9 @@ def _cx_walk(bg: BasisGraph, x: int, max_size: int, table: _Removals,
     feasibility, since every residual keeps bg's vertex count.  So
     `table` maps (surviving-face mask, face id) to the child residual, or
     None when the face is not removable, and `feasible` maps a face mask
-    to its equation's feasibility, solved the first time a walk needs it
-    (a fresh dict when left out).  The walks of one search share both,
-    and each face set is tested, removed and solved at most once.
+    to its equation's feasibility, solved the first time a walk needs it.
+    The walks of one search share both, and each face set is tested,
+    removed and solved at most once.
 
     The walk does not descend below a residual whose equation is
     infeasible.  The prune is exact: each removal keeps the vertex count,
@@ -98,8 +100,6 @@ def _cx_walk(bg: BasisGraph, x: int, max_size: int, table: _Removals,
     """
     if bg.degree(x) < 4 or max_size < 1:
         return
-    if feasible is None:
-        feasible = {}
     fids = bg.face_ids
     on_x = sum(1 << fid for fid in bg.basis.vertex_face_ids.get(x, ()))
     last = (bg.face_mask & on_x).bit_length() - 1
@@ -109,11 +109,12 @@ def _cx_walk(bg: BasisGraph, x: int, max_size: int, table: _Removals,
         return (residual.degree(x) == 4
                 and residual.vertex_class(x).tag == "boundary")
 
-    qualifies = {bg.face_mask & on_x: test_at_x(bg)}
-
-    def walk(residual: BasisGraph, cx: Tuple[int, ...], start: int,
-             at_residual: bool):
-        for k in range(start, len(fids) if at_residual else up_to_last):
+    at_root = test_at_x(bg)
+    qualifies = {bg.face_mask & on_x: at_root}
+    stack = [(bg, (), iter(range(len(fids) if at_root else up_to_last)))]
+    while stack:
+        residual, cx, positions = stack[-1]
+        for k in positions:
             fid = fids[k]
             key = (residual.face_mask, fid)
             if key in table:
@@ -140,15 +141,11 @@ def _cx_walk(bg: BasisGraph, x: int, max_size: int, table: _Removals,
             if at_x:
                 yield subset, child
             if descend:
-                yield from walk(child, subset, k + 1, at_x)
-
-    try:
-        yield from walk(bg, (), 0, qualifies[bg.face_mask & on_x])
-    finally:
-        # `walk` reaches itself through its closure, which holds `table`;
-        # dropping the name ends that cycle, so neither waits for the next
-        # cyclic collection.
-        del walk
+                stack.append((child, subset, iter(
+                    range(k + 1, len(fids) if at_x else up_to_last))))
+                break
+        else:
+            stack.pop()
 
 
 def candidate_Cx(bg: BasisGraph, x: int,
@@ -159,7 +156,7 @@ def candidate_Cx(bg: BasisGraph, x: int,
     Every prefix of a set (in ascending index order) must be removable at
     its turn.  Results in lexicographic order.
     """
-    return [cx for cx, _ in _cx_walk(bg, x, max_size, {})]
+    return [cx for cx, _ in _cx_walk(bg, x, max_size, {}, {})]
 
 
 def build_context(residual: BasisGraph, x: int,
@@ -252,9 +249,10 @@ def hole_contexts(g: PlanarEmbedding, bg: BasisGraph,
     already holds, whose equation the walk has found feasible.  The walks
     from all beginning vertices and the global-hole peels share one table
     of residuals and one map of feasibility, keyed by face set, so each
-    face set is removed and solved at most once per search; both are
-    freed when the search ends or is closed.  C_k depends only on the
-    surviving faces near x, those on a vertex of a face on x (see
+    face set is removed and solved at most once per search.  Nothing in
+    the search refers back to itself, so both are freed with the
+    generator, whether it ends or is dropped half way.  C_k depends only
+    on the surviving faces near x, those on a vertex of a face on x (see
     `build_context`), so each beginning vertex keeps C_k by that subset
     and builds a context only on a miss.  The faces near x are found at
     x's first context, since most vertices of small graphs yield none.
@@ -263,23 +261,19 @@ def hole_contexts(g: PlanarEmbedding, bg: BasisGraph,
         raise ValueError("max_cx must be >= 1")
     table: _Removals = {}
     feasible: _Feasible = {}
-    try:
-        for x in sorted(g.coords):
-            near_x = None
-            ck_of: Dict[int, Optional[int]] = {}
-            for cx, residual in _cx_walk(bg, x, max_cx, table, feasible):
-                if near_x is None:
-                    near_x = _faces_near(bg.basis, x)
-                key = residual.face_mask & near_x
-                if key in ck_of:
-                    ctx = HoleContext(x, cx, ck_of[key])
-                else:
-                    ctx = build_context(residual, x, cx)
-                    ck_of[key] = ctx.ck
-                yield ctx, is_global_hole(residual, ctx, feasible)
-    finally:
-        table.clear()
-        feasible.clear()
+    for x in sorted(g.coords):
+        near_x = None
+        ck_of: Dict[int, Optional[int]] = {}
+        for cx, residual in _cx_walk(bg, x, max_cx, table, feasible):
+            if near_x is None:
+                near_x = _faces_near(bg.basis, x)
+            key = residual.face_mask & near_x
+            if key in ck_of:
+                ctx = HoleContext(x, cx, ck_of[key])
+            else:
+                ctx = build_context(residual, x, cx)
+                ck_of[key] = ctx.ck
+            yield ctx, is_global_hole(residual, ctx, feasible)
 
 
 # -- the decision ------------------------------------------------------------

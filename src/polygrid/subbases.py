@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .embedding import (FaceBasis, PlanarEmbedding, bit_ids,
-                        classify_edge_set, components, cycle_vertex_walk,
-                        trace_faces)
+from .embedding import (FaceBasis, PlanarEmbedding, bit_ids, components,
+                        cycle_vertex_walk, trace_faces)
 from .holes import HAMILTONIAN, decide
 from .structure import BasisGraph
 
@@ -183,19 +182,6 @@ def _articulation_faces(adj: Dict[int, Set[int]]) -> Set[int]:
 
 # -- reduction ---------------------------------------------------------------
 
-def _region_perimeter(local: BasisGraph) -> Tuple[List[int], Set[int]]:
-    """Vertex walk of the region boundary and the region's internal edges,
-    for the graph carried by the region's faces."""
-    perimeter_edges = local.boundary_edge_ids()
-    internal_edges = {e for e, c in local.weights.items() if c == 2}
-    cls = classify_edge_set(perimeter_edges, local.g)
-    if cls.tag != "single-cycle":
-        raise ValueError(
-            f"interior region {local.face_ids} has a non-cycle perimeter")
-    walk = cycle_vertex_walk(perimeter_edges, local.g)
-    return walk, internal_edges
-
-
 def reduce_to_Gg(g: PlanarEmbedding,
                  decomposition: Optional[SubbasisDecomposition] = None,
                  basis: Optional[FaceBasis] = None) -> ReducedGraph:
@@ -204,80 +190,74 @@ def reduce_to_Gg(g: PlanarEmbedding,
     Each region is decided under the lenient claw reading.  Records whose
     interior region cannot be certified Hamiltonian are reported in
     `failed`; per the subbasis argument any such record already settles
-    the whole graph as non-Hamiltonian.
+    the whole graph as non-Hamiltonian.  A region's edges are its faces'
+    edges, its internal edges those of weight 2 and its perimeter those
+    of weight 1; ValueError when a substituted region's perimeter is not
+    one cycle.
     """
     if basis is None:
         basis = trace_faces(g)
     if decomposition is None:
         decomposition = decompose(g, basis)
     failed: List[int] = []
-    regions = []       # (record idx, perimeter walk, internal edges, order)
+    regions = []       # (record idx, perimeter walk, region graph)
     for idx, rec in enumerate(decomposition.records):
         if not rec.interior:
             continue
         local = BasisGraph(g, basis, rec.interior)
         sub = PlanarEmbedding(
             {v: g.coords[v] for v in local.vertices()},
-            [g.edges[e] for e in sorted(local.weights)],
+            [g.edges[e] for e in bit_ids(local.edge_mask)],
             name=f"{g.name}-g{idx}")
         verdict = decide(sub, claw_mode="lenient")
         if verdict.tag != HAMILTONIAN:
             failed.append(idx)
             continue
-        walk, internal = _region_perimeter(local)
-        regions.append((idx, walk, internal, local.order))
+        perimeter = frozenset(bit_ids(local.edge_mask & ~local.w2_mask))
+        regions.append((idx, cycle_vertex_walk(perimeter, g), local))
     reduced = _substitute_regions(g, regions)
     return ReducedGraph(
         embedding=reduced,
-        substitutions=tuple((idx, order) for idx, _, _, order in regions),
+        substitutions=tuple((idx, local.order) for idx, _, local in regions),
         failed=tuple(failed))
 
 
 def _substitute_regions(g: PlanarEmbedding, regions) -> PlanarEmbedding:
+    """Drop each region's internal edges and the vertices off its
+    perimeter, and subdivide its perimeter edges, the first ones once
+    more, until the perimeter cycle has the region's order."""
     drop_vertices: Set[int] = set()
-    drop_edges: Set[int] = set()
-    for _, walk, internal, _ in regions:
-        on_walk = set(walk)
-        region_vertices = set()
-        for e in internal:
-            region_vertices.update(g.edges[e])
-        drop_vertices |= region_vertices - on_walk
-        drop_edges |= internal
+    drop_edges = 0
+    subdivided = []    # (u, v, new vertices on the perimeter edge u-v)
+    for _, walk, local in regions:
+        drop_vertices |= set(local.vertices()).difference(walk)
+        drop_edges |= local.w2_mask
+        each, extra = divmod(max(local.order - len(walk), 0), len(walk))
+        for i, u in enumerate(walk):
+            count = each + (i < extra)
+            if count:
+                v = walk[(i + 1) % len(walk)]
+                drop_edges |= 1 << g.edge_id(u, v)
+                subdivided.append((u, v, count))
     # Scale so subdivided perimeter edges land on lattice points.
-    scale = 1
-    for _, walk, _, order in regions:
-        need = order - len(walk)
-        if need > 0:
-            per_edge = -(-need // len(walk))      # ceil
-            scale = max(scale, per_edge + 1)
+    scale = max((count + 1 for _, _, count in subdivided), default=1)
     coords = {v: (x * scale, y * scale)
               for v, (x, y) in g.coords.items() if v not in drop_vertices}
     edges = [g.edges[e] for e in range(g.size)
-             if e not in drop_edges and not (set(g.edges[e]) & drop_vertices)]
+             if not drop_edges >> e & 1
+             and not (set(g.edges[e]) & drop_vertices)]
     next_id = max(g.coords) + 1
-    for _, walk, _, order in regions:
-        need = order - len(walk)
-        if need <= 0:
-            continue
-        per_edge = [need // len(walk)] * len(walk)
-        for i in range(need % len(walk)):
-            per_edge[i] += 1
-        for i, count in enumerate(per_edge):
-            if count == 0:
-                continue
-            u, v = walk[i], walk[(i + 1) % len(walk)]
-            edges.remove((u, v)) if (u, v) in edges else edges.remove((v, u))
-            ax, ay = g.coords[u]
-            bx, by = g.coords[v]
-            chain = [u]
-            for t in range(1, count + 1):
-                coords[next_id] = (ax * scale + t * (bx - ax),
-                                   ay * scale + t * (by - ay))
-                chain.append(next_id)
-                next_id += 1
-            chain.append(v)
-            for a, b in zip(chain, chain[1:]):
-                edges.append((a, b))
+    for u, v, count in subdivided:
+        ax, ay = g.coords[u]
+        bx, by = g.coords[v]
+        chain = [u]
+        for t in range(1, count + 1):
+            coords[next_id] = (ax * scale + t * (bx - ax),
+                               ay * scale + t * (by - ay))
+            chain.append(next_id)
+            next_id += 1
+        chain.append(v)
+        edges += zip(chain, chain[1:])
     return PlanarEmbedding(coords, edges, name=f"{g.name}-reduced")
 
 

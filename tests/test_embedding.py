@@ -545,6 +545,41 @@ def test_enclosed_faces_rejects_non_cycles(domino, fig8):
         enclosed_faces(frozenset(), trace_faces(domino), domino)
 
 
+def test_foreign_edge_ids_are_refused(square):
+    # A negative id would alias an edge from the end of the edge list,
+    # and one past it would index out of range.
+    basis = trace_faces(square)
+    face = basis.faces[0].edges
+    size = square.size
+    for eid in (-1, -size, size, size + 7):
+        bad = face | {eid}
+        with pytest.raises(ValueError, match="not an edge id"):
+            classify_edge_set(bad, square)
+        with pytest.raises(ValueError, match="not an edge id"):
+            enclosed_faces(bad, basis, square)
+        with pytest.raises(ValueError, match="not an edge id"):
+            cycle_vertex_walk(bad, square)
+        assert not is_hamilton_cycle(bad, square)
+
+
+def test_cycle_vertex_walk_rejects_non_cycles():
+    g = gen_grid(3, 2)
+    basis = trace_faces(g)
+    face = basis.faces[1].edges
+    assert cycle_vertex_walk(face, g) == [2, 3, 5, 4]
+    # The face's square with a tail at vertex 2: a lollipop.
+    lollipop = face | {1}
+    assert classify_edge_set(lollipop, g).tag == "other"
+    with pytest.raises(ValueError, match="not a single cycle"):
+        cycle_vertex_walk(lollipop, g)
+    strip = gen_grid(6, 2)
+    faces = trace_faces(strip).faces
+    with pytest.raises(ValueError, match="not a single cycle"):
+        cycle_vertex_walk(faces[0].edges | faces[2].edges, strip)
+    with pytest.raises(ValueError, match="not a single cycle"):
+        cycle_vertex_walk(frozenset(), g)
+
+
 def test_edge_face_ids_lists_every_edge(domino, fig8, twin_nonagons):
     for g in (domino, fig8, twin_nonagons):
         basis = trace_faces(g)

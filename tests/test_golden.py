@@ -19,10 +19,14 @@ No verdict changed.  The CLI text digest is of the exit code, stdout and
 stderr of all six report subcommands in text mode (`subbases` with and
 without `--reduce`), and of `grinberg --json` and `oracle --json`, over
 the same graphs; it was recorded before the subcommands shared one report
-path.
+path.  The reduction digest is of `write_pgg` of the reduced embedding,
+the substitutions and the failed records of `reduce_to_Gg` over the
+lattices 2x2..9x9 and 200 seeded holed grids, recorded before the
+reduction read the region's edge masks directly.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -30,10 +34,10 @@ from polygrid import fixtures, write_pgg
 from polygrid.cli import main
 from polygrid.holes import (GLOBAL_HOLE, HAMILTONIAN, NO_SOLUTION,
                             UNVERIFIED, HoleContext, decide)
-from polygrid.oracle import (cells_to_embedding, compare,
+from polygrid.oracle import (GridGenError, cells_to_embedding, compare,
                              enumerate_polyominoes, gen_grid, hamilton_oracle,
                              report_json)
-from polygrid.subbases import decompose
+from polygrid.subbases import decompose, reduce_to_Gg
 
 COMPARE_6_SHA256 = {
     "strict": "520bd9cf2259ce1058b62631fdc60a4f2ed7ce4cc08acf66b8707438db3dc9c1",
@@ -48,6 +52,9 @@ CLI_JSON_SHA256 = (
 
 CLI_TEXT_SHA256 = (
     "439de8ac916c294a4e648a25f53bc4b792de71132c93b96b2dd9777cb97616d5")
+
+REDUCE_SHA256 = (
+    "9e9e1ceed5209fc0c43012cf751fe6717b30218995276193b09a68e5dc772dba")
 
 ORACLE_SHA256 = (
     "af2b8e13641a40a84f08b973bbc1941f4ac5410643a2dea23f14b83dec31b5c8")
@@ -96,6 +103,28 @@ def test_decompose_digest():
                            name="corner-blocks")]
     text = "\n".join(repr(decompose(g)) for g in graphs)
     assert hashlib.sha256(text.encode()).hexdigest() == DECOMPOSE_SHA256
+
+
+def test_reduce_digest():
+    graphs = [gen_grid(m, n) for m in range(2, 10) for n in range(2, 10)]
+    rng = random.Random(30)
+    while len(graphs) < 64 + 200:
+        m, n = rng.randint(5, 9), rng.randint(5, 9)
+        cells = [(x, y) for x in range(1, m - 2) for y in range(1, n - 2)]
+        try:
+            graphs.append(gen_grid(m, n, rng.sample(cells,
+                                                    rng.choice((1, 1, 2, 3)))))
+        except GridGenError:
+            pass
+    digest = hashlib.sha256()
+    substituted = 0
+    for g in graphs:
+        r = reduce_to_Gg(g)
+        substituted += bool(r.substitutions)
+        digest.update(write_pgg(r.embedding).encode())
+        digest.update(repr((r.substitutions, r.failed)).encode())
+    assert substituted >= 50
+    assert digest.hexdigest() == REDUCE_SHA256
 
 
 def test_oracle_search_digest():

@@ -570,7 +570,7 @@ def test_x_is_tested_once_per_surviving_face_subset(monkeypatch):
         for x in sorted(g.coords):
             on_x = sum(1 << fid for fid in bg.basis.vertex_face_ids[x])
             keys.clear()
-            list(holes._cx_walk(bg, x, 3, {}))
+            list(holes._cx_walk(bg, x, 3, {}, {}))
             assert len(set(keys)) == len(keys), (g.name, x)
             assert all(v == x for v, _ in keys), (g.name, x)
             tested += len(keys)
