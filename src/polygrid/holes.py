@@ -98,7 +98,7 @@ def _cx_walk(bg: BasisGraph, x: int, max_size: int, table: _Removals,
     this walk, the root's included: `vertex_class(x)` runs once per
     surviving subset of the faces on x.
     """
-    if bg.degree(x) < 4 or max_size < 1:
+    if bg.degree(x) < 4:
         return
     fids = bg.face_ids
     on_x = sum(1 << fid for fid in bg.basis.vertex_face_ids.get(x, ()))
@@ -156,6 +156,8 @@ def candidate_Cx(bg: BasisGraph, x: int,
     Every prefix of a set (in ascending index order) must be removable at
     its turn.  Results in lexicographic order.
     """
+    if max_size < 1:
+        raise ValueError("max_size must be >= 1")
     return [cx for cx, _ in _cx_walk(bg, x, max_size, {}, {})]
 
 
@@ -169,14 +171,6 @@ def build_context(residual: BasisGraph, x: int,
     residual the C_x walk yields, C_xe is empty (see `is_global_hole`).
     The faces on x are read from the basis's ascending incidence list,
     skipping the removed ones.
-
-    The answer reads which faces on x survive, the weight of their edges
-    and whether their vertices are interior.  An edge of a face on x, or
-    at one of its vertices, lies on faces that hold a vertex of a face on
-    x, and on a residual of the full graph, or of a face set, it survives
-    while one of them does and has weight 2 while both do.  So C_k
-    depends only on the surviving faces among those, and `hole_contexts`
-    calls this only once per such subset and beginning vertex.
     """
     faces, w2 = residual.face_mask, residual.w2_mask
     basis = residual.basis
@@ -186,17 +180,6 @@ def build_context(residual: BasisGraph, x: int,
                 residual.is_interior(v) for v in residual.face(ck).vertices)):
             return HoleContext(x=x, cx=cx, ck=ck)
     return HoleContext(x=x, cx=cx)
-
-
-def _faces_near(basis: FaceBasis, x: int) -> int:
-    """The faces on any vertex of a face on x, as a bitset."""
-    vertex_faces = basis.vertex_face_ids
-    near = 0
-    for fid in vertex_faces.get(x, ()):
-        for v in basis.faces[fid].vertices:
-            for other in vertex_faces[v]:
-                near |= 1 << other
-    return near
 
 
 # -- the global-hole test and the hole search --------------------------------
@@ -251,28 +234,15 @@ def hole_contexts(g: PlanarEmbedding, bg: BasisGraph,
     of residuals and one map of feasibility, keyed by face set, so each
     face set is removed and solved at most once per search.  Nothing in
     the search refers back to itself, so both are freed with the
-    generator, whether it ends or is dropped half way.  C_k depends only
-    on the surviving faces near x, those on a vertex of a face on x (see
-    `build_context`), so each beginning vertex keeps C_k by that subset
-    and builds a context only on a miss.  The faces near x are found at
-    x's first context, since most vertices of small graphs yield none.
+    generator, whether it ends or is dropped half way.
     """
     if max_cx < 1:
         raise ValueError("max_cx must be >= 1")
     table: _Removals = {}
     feasible: _Feasible = {}
     for x in sorted(g.coords):
-        near_x = None
-        ck_of: Dict[int, Optional[int]] = {}
         for cx, residual in _cx_walk(bg, x, max_cx, table, feasible):
-            if near_x is None:
-                near_x = _faces_near(bg.basis, x)
-            key = residual.face_mask & near_x
-            if key in ck_of:
-                ctx = HoleContext(x, cx, ck_of[key])
-            else:
-                ctx = build_context(residual, x, cx)
-                ck_of[key] = ctx.ck
+            ctx = build_context(residual, x, cx)
             yield ctx, is_global_hole(residual, ctx, feasible)
 
 

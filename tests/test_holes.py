@@ -407,32 +407,18 @@ def test_every_hamilton_cycle_puts_a_global_hole_face_inside():
     assert seen["pairs"] >= 100 and seen["all inside"] > 0
 
 
-def _faces_near_scan(basis, x):
-    """Reference: the faces that share a vertex with a face on x."""
-    near = set().union(*(face.vertices for face in basis.faces
-                         if x in face.vertices))
-    return sum(1 << fid for fid, face in enumerate(basis.faces)
-               if face.vertices & near)
-
-
 def test_hole_contexts_calls_each_step_once_per_context(monkeypatch):
     # The search reaches its steps through the module's public names, so a
-    # wrapper installed there (as the benchmark tracer does) sees each one:
-    # the global-hole test once per context, and build_context once per
-    # beginning vertex and subset of the surviving faces near it, those on
-    # a vertex of a face on x, which are all that C_k depends on.
+    # wrapper installed there (as the benchmark tracer does) sees each one
+    # exactly once per context: build_context on the residual the walk
+    # yields, then the global-hole test on that context.
     calls = Counter()
-    built = []
 
     def counting(name):
         step = getattr(holes, name)
 
         def wrapper(*args):
             calls[name] += 1
-            if name == "build_context":
-                residual, x = args[:2]
-                built.append((x, residual.face_mask
-                              & _faces_near_scan(residual.basis, x)))
             return step(*args)
         return wrapper
 
@@ -440,13 +426,10 @@ def test_hole_contexts_calls_each_step_once_per_context(monkeypatch):
         monkeypatch.setattr(holes, name, counting(name))
     for g in (gen_grid(4, 5), gen_grid(5, 6)):
         calls.clear()
-        built.clear()
         found = list(hole_contexts(g, BasisGraph(g, trace_faces(g)), 3))
         assert found
+        assert calls["build_context"] == len(found), g.name
         assert calls["is_global_hole"] == len(found), g.name
-        assert len(set(built)) == len(built) == calls["build_context"]
-        assert calls["build_context"] <= len(found), g.name
-    assert calls["build_context"] < len(found)
 
 
 def test_one_search_builds_each_face_sets_equation_once(monkeypatch,
@@ -509,19 +492,20 @@ def test_hole_contexts_match_the_unshared_reference(monkeypatch,
                                                    twin_nonagons):
     # The search shares each face set's removal, residual and feasibility
     # across beginning vertices and peels, tests x once per surviving
-    # subset of the faces on x, scans the basis's faces on x for C_k and
-    # keeps C_k by the surviving faces near x; the reference walks every
-    # vertex afresh, tests x at every set and sorts the residual's faces
-    # on x for every context.  The search also stops below residuals whose
-    # equation is infeasible, where the reference descends and yields
-    # nothing; the benchmark's holed grids of odd order have an infeasible
-    # root.  The triangle patches have vertices of degree 6, so the test
-    # at x is not checked on squares alone.
-    # On 6 x 6 the C_x sets also hold faces far from x, whose removal
-    # leaves the faces near x, and so C_k, as they were.
+    # subset of the faces on x and scans the basis's faces on x for C_k;
+    # the reference walks every vertex afresh, tests x at every set and
+    # sorts the residual's faces on x for every context.  The search also
+    # stops below residuals whose equation is infeasible, where the
+    # reference descends and yields nothing; the benchmark's holed grids of
+    # odd order have an infeasible root.  The triangle patches have
+    # vertices of degree 6, so the test at x is not checked on squares
+    # alone.  On 6 x 6 and 6 x 7 the C_x sets also hold faces far from x;
+    # 6 x 7 is the grid `polygrid holes` searches in CI, 18,496 contexts at
+    # max_cx 3.
     graphs = _pruned_walk_corpus()
     graphs += [gen_grid(m, n) for m in (4, 5) for n in (4, 5, 6)]
-    graphs += [gen_grid(6, 6), twin_nonagons] + _triangle_patches()
+    graphs += [gen_grid(6, 6), gen_grid(6, 7), twin_nonagons]
+    graphs += _triangle_patches()
     clusters = 0
     for m, n in ((4, 5), (4, 6)):
         for cluster in _hole_clusters(m, n):
@@ -856,7 +840,8 @@ def test_decide_twin_nonagons(twin_nonagons):
 
 def test_decide_rejects_unknown_mode(square, fig8, grid3):
     # fig8 ends at a case-II claw and grid3 at an infeasible equation; the
-    # mode and the C_x bound are rejected before either.
+    # mode and the C_x bound are rejected before either.  The search and
+    # candidate_Cx reject the bound too, at any vertex.
     for g in (square, fig8, grid3):
         with pytest.raises(ValueError):
             decide(g, claw_mode="medium")
@@ -864,6 +849,8 @@ def test_decide_rejects_unknown_mode(square, fig8, grid3):
             decide(g, claw_mode="lenient", max_cx=0)
         with pytest.raises(ValueError, match="max_cx must be >= 1"):
             next(hole_contexts(g, BasisGraph(g, trace_faces(g)), 0))
+        with pytest.raises(ValueError, match="max_size must be >= 1"):
+            candidate_Cx(BasisGraph(g, trace_faces(g)), min(g.coords), 0)
 
 
 def test_decide_deterministic(grid4):
