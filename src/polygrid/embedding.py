@@ -68,11 +68,15 @@ class PlanarEmbedding:
 
         Vertices are the cell corners, numbered in sorted point order, and
         edges the cell sides as ascending (i, j) pairs in sorted order.
-        Unit axis-parallel sides meet only at corners, so the drawing is
-        planar, and each rotation is the present neighbours in east,
-        north, west, south order, the order of their direction keys in
-        `_check_planarity`.  The result equals
-        `PlanarEmbedding(g.coords, g.edges)`.
+        One pass over the points emits the sides and files each under its
+        kind: an up side from i is the edge to i + 1, an across side the
+        pair (i, j) with j to the east.  Unit axis-parallel sides meet only
+        at corners, so the drawing is planar, and a vertex has at most one
+        neighbour each way.  Its rotation is therefore filled by four
+        passes over the two side lists, east (across, from i), north (up,
+        from i), west (across, from j) and south (up, from i + 1), the
+        order of the direction keys in `_check_planarity`.  The result
+        equals `PlanarEmbedding(g.coords, g.edges)`.
 
         `shared`, when given, interns the point, edge and rotation tuples:
         each is replaced by the equal tuple already in it, or added, so
@@ -88,28 +92,38 @@ class PlanarEmbedding:
         points = sorted(across | up | {(x + 1, y + 1) for x, y in cells})
         ids = {p: i for i, p in enumerate(points)}
         edges: List[Tuple[int, int]] = []
-        rotation: Dict[int, Tuple[int, ...]] = {}
-        for i, (x, y) in enumerate(points):
-            # (x, y + 1) is the next point after (x, y), and (x + 1, y)
+        up_sides: List[int] = []
+        across_sides: List[Tuple[int, int]] = []
+        for i, p in enumerate(points):
+            # (x, y + 1) is the next point after p = (x, y), and (x + 1, y)
             # comes later still, so edges come out sorted.
-            if (x, y) in up:
+            if p in up:
+                up_sides.append(i)
                 edges.append((i, i + 1))
-            if (x, y) in across:
-                edges.append((i, ids[(x + 1, y)]))
-            rotation[i] = tuple([ids[p] for p, present in (
-                ((x + 1, y), (x, y) in across), ((x, y + 1), (x, y) in up),
-                ((x - 1, y), (x - 1, y) in across),
-                ((x, y - 1), (x, y - 1) in up)) if present])
+            if p in across:
+                side = (i, ids[(p[0] + 1, p[1])])
+                across_sides.append(side)
+                edges.append(side)
+        rot: List[List[int]] = [[] for _ in points]
+        for i, j in across_sides:
+            rot[i].append(j)
+        for i in up_sides:
+            rot[i].append(i + 1)
+        for i, j in across_sides:
+            rot[j].append(i)
+        for i in up_sides:
+            rot[i + 1].append(i)
+        rotation: Iterable[Tuple[int, ...]] = map(tuple, rot)
         if shared is not None:
             keep = shared.setdefault
             points = [keep(p, p) for p in points]
             edges = [keep(e, e) for e in edges]
-            rotation = {i: keep(r, r) for i, r in rotation.items()}
+            rotation = [keep(r, r) for r in rotation]
         g = cls.__new__(cls)
         g.name = name
         g.coords = dict(enumerate(points))
         g.edges = tuple(edges)
-        g._link(rotation)
+        g._link(dict(enumerate(rotation)))
         return g
 
     # -- construction helpers ------------------------------------------------

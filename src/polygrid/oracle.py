@@ -54,6 +54,7 @@ side by side and persists any disagreement as a `.pgg` candidate file.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -266,8 +267,21 @@ def cells_to_embedding(cells: Iterable[Tuple[int, int]],
                        name: str) -> PlanarEmbedding:
     """Lattice graph carried by a set of unit cells: vertices are the cell
     corners, edges the cell sides (shared sides deduplicated).  Built on
-    the trusted path, without the planarity scan."""
-    return PlanarEmbedding._from_unit_cells(cells, name)
+    the trusted path, without the planarity scan.
+
+    Each coordinate must be an integer, or a type `operator.index` reads
+    as one, and is stored as a plain int; any other is a ValueError that
+    names the cell, since `.pgg` holds only integers.
+    """
+    checked = []
+    for cell in cells:
+        x, y = cell
+        try:
+            checked.append((operator.index(x), operator.index(y)))
+        except TypeError:
+            raise ValueError(
+                f"cell {cell!r} has a non-integer coordinate") from None
+    return PlanarEmbedding._from_unit_cells(checked, name)
 
 
 def gen_grid(m: int, n: int,
@@ -418,8 +432,9 @@ def compare(graphs: Iterable[PlanarEmbedding], budget: int = 10 ** 6,
         if agree is False:
             candidates.append(g.name)
             if save_dir is not None:
-                save_dir = Path(save_dir)
-                save_dir.mkdir(parents=True, exist_ok=True)
+                if len(candidates) == 1:
+                    save_dir = Path(save_dir)
+                    save_dir.mkdir(parents=True, exist_ok=True)
                 (save_dir / f"{g.name}.pgg").write_text(write_pgg(g))
     return AgreementReport(tuple(rows), tuple(candidates))
 

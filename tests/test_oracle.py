@@ -3,6 +3,7 @@ import itertools
 import json
 import tracemalloc
 
+import numpy
 import pytest
 
 from polygrid import oracle, trace_faces
@@ -196,6 +197,23 @@ def test_cells_to_embedding_rejects_empty_and_apart():
         cells_to_embedding({(0, 0), (2, 0)}, "apart")
 
 
+def test_cells_to_embedding_rejects_non_integer_coordinates():
+    # A float or text coordinate would reach write_pgg, whose output
+    # parse_pgg then rejects.
+    for cells, bad in (([(0, 0), (1.0, 0)], r"\(1\.0, 0\)"),
+                       ([(0, "1")], r"\(0, '1'\)")):
+        with pytest.raises(ValueError,
+                           match=f"^cell {bad} has a non-integer coordinate$"):
+            cells_to_embedding(cells, "bad")
+    # Integer-like types pass and are stored as plain ints; a bool is read
+    # as 0 or 1.
+    for cells in ([(numpy.int64(1), 0), (0, 0)], [(True, 0), (False, 0)]):
+        g = cells_to_embedding(cells, "domino")
+        assert g.coords == cells_to_embedding([(0, 0), (1, 0)], "d").coords
+        assert all(type(c) is int for p in g.coords.values() for c in p)
+        assert write_pgg(parse_pgg(write_pgg(g))) == write_pgg(g)
+
+
 def test_cells_meeting_at_a_corner_make_one_graph(fig8):
     assert fig8.order == 7
     assert fig8.size == 8
@@ -311,6 +329,31 @@ def test_compare_strict_flags_candidates(tmp_path):
         assert saved.exists()
         again = parse_pgg(saved.read_text())
         assert again.order > 0
+
+
+def test_compare_makes_save_dir_only_for_a_candidate(tmp_path, monkeypatch):
+    made = []
+    real_mkdir = oracle.Path.mkdir
+
+    def mkdir(path, *args, **kwargs):
+        made.append(path)
+        real_mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(oracle.Path, "mkdir", mkdir)
+    quiet = tmp_path / "quiet"
+    report = compare(enumerate_polyominoes(4), claw_mode="lenient",
+                     save_dir=quiet)
+    assert report.candidates == ()
+    assert not quiet.exists() and made == []
+    # The directory is made once per call however many candidates there
+    # are.
+    loud = tmp_path / "saved"
+    report = compare(enumerate_polyominoes(3), claw_mode="strict",
+                     save_dir=str(loud))
+    assert len(report.candidates) > 1
+    assert made == [loud]
+    assert sorted(p.name for p in loud.iterdir()) == sorted(
+        f"{name}.pgg" for name in report.candidates)
 
 
 def test_compare_empty_stream():

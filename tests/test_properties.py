@@ -129,6 +129,38 @@ def test_unit_cell_path_matches_validated_random_shapes(cells):
     assert_matches_validated(cells_to_embedding(cells, "random"))
 
 
+def assert_unit_cell_builds_agree(cells, name):
+    """The unit-cell graph of cells equals the validated embedding, and
+    building it with an interning table that already holds the tuples of
+    its translate one cell east changes nothing; return the graph."""
+    alone = cells_to_embedding(cells, name)
+    assert_matches_validated(alone)
+    shared = {}
+    PlanarEmbedding._from_unit_cells(
+        [(x + 1, y) for x, y in cells], "east", shared)
+    interned = PlanarEmbedding._from_unit_cells(cells, name, shared)
+    assert interned.edges == alone.edges
+    for attr in ("coords", "rotation"):
+        assert (list(getattr(interned, attr).items())
+                == list(getattr(alone, attr).items())), (name, attr)
+    return alone
+
+
+@given(side_connected_cells())
+@settings(max_examples=200)
+def test_unit_cell_path_matches_validated_negative_cells(cells):
+    assert_unit_cell_builds_agree(cells, "random")
+
+
+def test_unit_cell_path_matches_validated_ring():
+    # Eight cells around a missing one: each inner corner takes one
+    # neighbour from each of the four rotation passes, and the middle
+    # bounded face is no cell.
+    ring = [(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)]
+    g = assert_unit_cell_builds_agree(ring, "ring")
+    assert (g.order, g.size, len(trace_faces(g).faces)) == (16, 24, 9)
+
+
 def test_unit_cell_path_matches_validated():
     # Every polyomino of <=8 cells, the decide-grid rectangles, holed
     # grids, a 2x520 strip, and 2x2 blocks joined at a corner, where the
