@@ -12,9 +12,12 @@ rotation tuples, while each keeps its own dicts.  The
 check files each edge under both ends by one exact direction key; sorting
 those keys gives the rotation and finds edges that overlap at a common
 vertex, and segment pairs in shared grid cells are tested only for edges
-with no common endpoint.  Faces are traced by following each dart to the
-next one in the rotation, and cycles are GF(2) vectors over edge ids
-represented as frozensets.
+with no common endpoint, so a lattice, whose cells each hold the edges of
+one vertex, tests none.  Faces are traced by following each dart to the
+next one in the rotation, and a `FaceBasis` keeps per-edge and per-vertex
+face indexes, the latter as bitsets.  Cycles are GF(2) vectors over edge
+ids represented as frozensets; "one cycle" is tested by a walk along the
+edge set's bitset.
 """
 
 from __future__ import annotations
@@ -143,10 +146,11 @@ class PlanarEmbedding:
         or shared position, and planarity; return the rotation.  An error
         about one edge names its index as `edge`; unknown endpoints are
         reported before any self-loop or duplicate."""
+        coords = self.coords
         for i, (u, v) in enumerate(self.edges):
-            for w in (u, v):
-                if w not in self.coords:
-                    raise PggParseError(f"unknown vertex {w}", edge=i)
+            if u not in coords or v not in coords:
+                raise PggParseError(
+                    f"unknown vertex {v if u in coords else u}", edge=i)
         seen = set()
         for i, (u, v) in enumerate(self.edges):
             if u == v:
@@ -156,7 +160,7 @@ class PlanarEmbedding:
                 raise PggParseError(f"duplicate edge {u} {v}", edge=i)
             seen.add(key)
         positions = {}
-        for vid, p in self.coords.items():
+        for vid, p in coords.items():
             if p in positions:
                 raise PggParseError(
                     f"vertices {positions[p]} and {vid} share position {p}")
@@ -175,21 +179,30 @@ class PlanarEmbedding:
         vertex's entries by key and edge index gives its rotation.
         Positions are distinct, so two edges at a common vertex overlap
         exactly when they leave it on the same key, and the first two
-        entries of a run of equal keys are its smallest (i, j).  Edges with
-        no common endpoint are bucketed into square cells whose side is the
-        longest edge extent, so each segment's bounding box touches at most
-        four cells and only segments sharing a cell are compared, in
-        ascending (i, j) order until a pair crosses or passes the smallest
-        overlap.  The smaller of the two is reported.  Then each vertex, in
-        the order of `coords`, is tested against the edges of its own cell
-        in edge order, so the first error is the one a scan of all pairs
-        would report.
+        entries of a run of equal keys are its smallest (i, j).
+
+        Edges are filed into square cells whose side is the longest edge
+        extent, so each segment's bounding box touches at most four cells,
+        those of its corners, and only the two cells of its ends when
+        these share a row or a column (an axis-parallel edge, say).  The
+        candidate pairs are collected cell by cell: the pairs of edges
+        with no common endpoint.  A cell whose edges all share one
+        endpoint, its hub, holds no such pair and is skipped (each vertex
+        of a unit lattice is its cell's hub).  The sorted pairs are tested
+        until one crosses or passes the smallest overlap, and the smaller
+        of the two is reported.  Then each vertex, in the order of
+        `coords`, is tested against the edges of its own cell in edge
+        order, skipping a cell it is the hub of, so the first error is the
+        one a scan of all pairs would report.
         """
         edges = self.edges
         segs = [(self.coords[u], self.coords[v]) for u, v in edges]
         leaving: Dict[int, List[tuple]] = {v: [] for v in self.coords}
+        side = 1            # the longest edge extent, at least 1
         for i, ((u, v), (a, b)) in enumerate(zip(edges, segs)):
             dx, dy = b[0] - a[0], b[1] - a[1]
+            if dx > side or -dx > side or dy > side or -dy > side:
+                side = max(dx, -dx, dy, -dy)
             if dy:
                 half = 1 if dy > 0 else 3
                 slope = Fraction(-dx, dy) if dx else 0
@@ -203,39 +216,52 @@ class PlanarEmbedding:
             for (key, i, _), (key2, j, _) in zip(entries, entries[1:]):
                 if key == key2 and (best is None or (i, j) < best):
                     best = (i, j)
-        side = max([1] + [max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-                          for a, b in segs])
         cell_of = {vid: (x // side, y // side)
                    for vid, (x, y) in self.coords.items()}
         cells: Dict[Tuple[int, int], List[int]] = {}
-        seg_cells: List[Set[Tuple[int, int]]] = []
         for i, (u, v) in enumerate(edges):
             # No extent exceeds the side, so the box spans at most two
-            # cells a way: those of the corners.
-            (ux, uy), (vx, vy) = cell_of[u], cell_of[v]
-            touched = {(ux, uy), (vx, vy), (ux, vy), (vx, uy)}
+            # cells a way: those of the corners, which are the two end
+            # cells when these share a row or a column.
+            cu, cv = cell_of[u], cell_of[v]
+            if cu == cv:
+                touched = (cu,)
+            elif cu[0] == cv[0] or cu[1] == cv[1]:
+                touched = (cu, cv)
+            else:
+                touched = (cu, cv, (cu[0], cv[1]), (cv[0], cu[1]))
             for cell in touched:
                 cells.setdefault(cell, []).append(i)
-            seg_cells.append(touched)
-        for i, (a, b) in enumerate(segs):
-            if best is not None and i > best[0]:
+        # Edges that all share one endpoint, the cell's hub, make no pair
+        # to test, and no vertex but the hub lies on them.
+        hubs: Dict[Tuple[int, int], int] = {}
+        pairs: Set[Tuple[int, int]] = set()
+        for cell, members in cells.items():
+            hub = _shared_end(members, edges)
+            if hub is not None:
+                hubs[cell] = hub
+                continue
+            for k, i in enumerate(members):
+                u, v = edges[i]
+                for j in members[k + 1:]:
+                    if u not in edges[j] and v not in edges[j]:
+                        pairs.add((i, j))
+        for i, j in sorted(pairs):
+            if best is not None and (i, j) > best:
                 break
-            u, v = edges[i]
-            apart = {j for cell in seg_cells[i] for j in cells[cell]
-                     if j > i and u not in edges[j] and v not in edges[j]}
-            for j in sorted(apart):
-                if best is not None and (i, j) > best:
-                    break
-                if geometry.segments_cross(a, b, *segs[j]):
-                    best = (i, j)
-                    break
+            if geometry.segments_cross(*segs[i], *segs[j]):
+                best = (i, j)
+                break
         if best is not None:
             i, j = best
             raise PggParseError(f"edges {edges[i]} and {edges[j]} cross")
         # A vertex sitting in the interior of an unrelated edge also breaks
         # the drawing even though no two segments cross.
         for vid, p in self.coords.items():
-            for i in cells.get(cell_of[vid], ()):
+            cell = cell_of[vid]
+            if hubs.get(cell) == vid:
+                continue
+            for i in cells.get(cell, ()):
                 u, v = edges[i]
                 if vid in (u, v):
                     continue
@@ -281,19 +307,35 @@ class PlanarEmbedding:
                 f"|E|={self.size})")
 
 
+def _shared_end(ids: Sequence[int],
+                edges: Sequence[Tuple[int, int]]) -> Optional[int]:
+    """The endpoint that the edges with the given ids all share, or None."""
+    for end in edges[ids[0]]:
+        for j in ids:
+            if end not in edges[j]:
+                break
+        else:
+            return end
+    return None
+
+
 # -- parsing -----------------------------------------------------------------
 
 def parse_pgg(text: str) -> PlanarEmbedding:
-    """Parse the line-oriented `.pgg` format into a validated embedding."""
+    """Parse the line-oriented `.pgg` format into a validated embedding.
+
+    Each line is split once on whitespace, after cutting a `#` comment
+    when the line holds one."""
     name = None
     coords: Dict[int, Tuple[int, int]] = {}
     edges: List[Tuple[int, int]] = []
     edge_lines: List[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         parts = line.split()
+        if not parts:
+            continue
         kind = parts[0]
         if kind == "graph":
             if name is not None:
@@ -307,7 +349,7 @@ def parse_pgg(text: str) -> PlanarEmbedding:
             if len(parts) != 4:
                 raise PggParseError("expected: vertex <id> <x> <y>", lineno)
             try:
-                vid, x, y = (int(p) for p in parts[1:])
+                vid, x, y = int(parts[1]), int(parts[2]), int(parts[3])
             except ValueError:
                 raise PggParseError("vertex fields must be integers", lineno)
             if vid in coords:
@@ -386,13 +428,16 @@ class FaceBasis:
                      for face in self.faces)
 
     @functools.cached_property
-    def vertex_face_ids(self) -> Dict[int, Tuple[int, ...]]:
-        """Ids of the faces on each vertex, ascending."""
-        out: Dict[int, List[int]] = {}
+    def vertex_face_masks(self) -> Dict[int, int]:
+        """The faces on each vertex as a bitset: bit i is face i.  A vertex
+        on no bounded face has no entry."""
+        out: Dict[int, int] = {}
+        get = out.get
         for fid, face in enumerate(self.faces):
+            bit = 1 << fid
             for v in face.cycle:
-                out.setdefault(v, []).append(fid)
-        return {v: tuple(fids) for v, fids in out.items()}
+                out[v] = get(v, 0) | bit
+        return out
 
     @functools.cached_property
     def edge_face_ids(self) -> Dict[int, Tuple[int, ...]]:
@@ -406,13 +451,15 @@ class FaceBasis:
 
     @functools.cached_property
     def edge_neighbour_masks(self) -> Tuple[int, ...]:
-        """The other faces sharing an edge with each face, as a bitset."""
+        """The other faces sharing an edge with each face, as a bitset:
+        the two faces of each inner edge, since no edge lies on more."""
         out = [0] * len(self.faces)
         for fids in self.edge_face_ids.values():
-            mask = sum(1 << fid for fid in fids)
-            for fid in fids:
-                out[fid] |= mask
-        return tuple(mask & ~(1 << fid) for fid, mask in enumerate(out))
+            if len(fids) == 2:
+                a, b = fids
+                out[a] |= 1 << b
+                out[b] |= 1 << a
+        return tuple(out)
 
 
 def trace_faces(g: PlanarEmbedding) -> FaceBasis:
@@ -551,28 +598,30 @@ def classify_edge_set(e: EdgeSet, g: PlanarEmbedding) -> CycleClass:
     return CycleClass("disjoint-cycles", count=count)
 
 
-def is_hamilton_cycle(e: EdgeSet, g: PlanarEmbedding) -> bool:
-    """Whether e is one cycle through every vertex of g; False when any id
-    in e is not an edge id of g (a negative one included).
-
-    On the edge mask of e: it must hold |V| edges, and a walk along it
-    from any vertex must first return after |V| steps, meeting at each
-    vertex it reaches exactly two edges of the mask.  Such a walk reaches
-    every vertex, so each has degree 2 in e, and it goes once round a
-    cycle of |V| edges, which are then all of e.
-    """
+def _edge_mask(e: EdgeSet, g: PlanarEmbedding) -> Optional[int]:
+    """The edges of e as a bitset, or None when an id in e is not an edge
+    id of g (a negative one included)."""
     size = g.size
-    if any(not 0 <= eid < size for eid in e):
-        return False
     mask = 0
     for eid in e:
+        if not 0 <= eid < size:
+            return None
         mask |= 1 << eid
-    n = g.order
-    if mask.bit_count() != n:
-        return False
+    return mask
+
+
+def _is_one_cycle(mask: int, start: int, g: PlanarEmbedding) -> bool:
+    """Whether the edges of mask form one cycle through start.
+
+    A walk along mask from start must first return after as many steps as
+    mask has edges, meeting at each vertex it reaches exactly two edges of
+    the mask.  It then goes once round a cycle of that many edges, which
+    are all of the mask.
+    """
     incident = g.incident_edge_masks
     ends = g.edges
-    start = v = next(iter(incident))
+    n = mask.bit_count()
+    v = start
     came = 0
     for steps in range(1, n + 1):
         at = incident[v] & mask
@@ -586,6 +635,18 @@ def is_hamilton_cycle(e: EdgeSet, g: PlanarEmbedding) -> bool:
             return steps == n
         came = out
     return False
+
+
+def is_hamilton_cycle(e: EdgeSet, g: PlanarEmbedding) -> bool:
+    """Whether e is one cycle through every vertex of g; False when any id
+    in e is not an edge id of g (a negative one included).
+
+    On the edge mask of e: it must hold |V| edges and form one cycle
+    through any vertex, which then passes every vertex.
+    """
+    mask = _edge_mask(e, g)
+    return (mask is not None and mask.bit_count() == g.order
+            and _is_one_cycle(mask, next(iter(g.coords)), g))
 
 
 def cycle_vertex_walk(e: EdgeSet, g: PlanarEmbedding) -> List[int]:
@@ -613,12 +674,17 @@ def enclosed_faces(c: EdgeSet, basis: FaceBasis,
                    g: PlanarEmbedding) -> FrozenSet[int]:
     """Indices of bounded faces lying strictly inside the single cycle c.
 
-    A parity fill over the faces: the outer face is outside, and stepping
-    across an edge to a neighbouring face switches between inside and
-    outside exactly when the edge lies on c.
+    c is checked to be one cycle by a walk along its edge mask, as in
+    `is_hamilton_cycle`; otherwise ValueError, with `classify_edge_set`'s
+    reading of c, or its error for an id that is not an edge id of g.
+    Then a parity fill over the faces: the outer face is outside, and
+    stepping across an edge to a neighbouring face switches between
+    inside and outside exactly when the edge lies on c.
     """
-    cls = classify_edge_set(c, g)
-    if cls.tag != "single-cycle":
+    mask = _edge_mask(c, g)
+    if not mask or not _is_one_cycle(
+            mask, g.edges[(mask & -mask).bit_length() - 1][0], g):
+        cls = classify_edge_set(c, g)
         raise ValueError(f"edge set is not a single cycle: {cls.tag}")
     edge_faces = basis.edge_face_ids
     inside: Dict[int, bool] = {}

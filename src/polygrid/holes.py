@@ -101,7 +101,7 @@ def _cx_walk(bg: BasisGraph, x: int, max_size: int, table: _Removals,
     if bg.degree(x) < 4:
         return
     fids = bg.face_ids
-    on_x = sum(1 << fid for fid in bg.basis.vertex_face_ids.get(x, ()))
+    on_x = bg.basis.vertex_face_masks.get(x, 0)
     last = (bg.face_mask & on_x).bit_length() - 1
     up_to_last = bisect_right(fids, last)
 
@@ -169,15 +169,15 @@ def build_context(residual: BasisGraph, x: int,
     weight-1 edge of the residual, so its removal deletes no edge and it
     is removable.  That is all the global-hole test reads: on every
     residual the C_x walk yields, C_xe is empty (see `is_global_hole`).
-    The faces on x are read from the basis's ascending incidence list,
-    skipping the removed ones.
+    The surviving faces on x are read, ascending, from the basis's face
+    mask of x.
     """
-    faces, w2 = residual.face_mask, residual.w2_mask
+    w2 = residual.w2_mask
     basis = residual.basis
     masks = basis.edge_masks
-    for ck in basis.vertex_face_ids.get(x, ()):
-        if (faces >> ck & 1 and not masks[ck] & ~w2 and any(
-                residual.is_interior(v) for v in residual.face(ck).vertices)):
+    for ck in bit_ids(residual.face_mask & basis.vertex_face_masks.get(x, 0)):
+        if not masks[ck] & ~w2 and any(
+                residual.is_interior(v) for v in residual.face(ck).vertices):
             return HoleContext(x=x, cx=cx, ck=ck)
     return HoleContext(x=x, cx=cx)
 

@@ -290,14 +290,24 @@ def gen_grid(m: int, n: int,
 
     A deleted cell removes only the edges and vertices used by no surviving
     cell, so a lone interior hole leaves the graph unchanged.  Holes must
-    be strictly inside the cell rectangle and must not disconnect.
+    be strictly inside the cell rectangle and must not disconnect, and
+    each coordinate must be an integer, or a type `operator.index` reads
+    as one, as in `cells_to_embedding`.
     """
     if m < 2 or n < 2:
         raise GridGenError("need at least a 2x2 vertex grid")
-    holes = set(holes)
-    for cx, cy in holes:
+    checked = set()
+    for hole in holes:
+        cx, cy = hole
+        try:
+            cx, cy = operator.index(cx), operator.index(cy)
+        except TypeError:
+            raise GridGenError(
+                f"hole {hole!r} has a non-integer coordinate") from None
         if not (1 <= cx <= m - 3 and 1 <= cy <= n - 3):
             raise GridGenError(f"hole {(cx, cy)} is not strictly interior")
+        checked.add((cx, cy))
+    holes = checked
     cells = {(cx, cy) for cx in range(m - 1) for cy in range(n - 1)} - holes
     if not cells:
         raise GridGenError("no cells remain")

@@ -4,7 +4,8 @@ removable-cycle bookkeeping.
 A `BasisGraph` is the face basis with some faces removed, held as integer
 bitsets of the surviving faces, the surviving edges and the weight-2
 edges; removals return a new graph, so they can be chained without
-mutating anything.
+mutating anything.  A vertex's class is read from these bitsets and the
+basis's per-vertex face bitsets, and is one of three shared constants.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional
 
-from .embedding import Face, FaceBasis, PlanarEmbedding
+from .embedding import Face, FaceBasis, PlanarEmbedding, bit_ids
 
 CASE_I = "case-i"
 CASE_II = "case-ii"
@@ -26,6 +27,12 @@ class NonTilingBasisError(ValueError):
 @dataclass(frozen=True)
 class VertexClass:
     tag: str                       # "boundary" | "interior" | "other"
+
+
+# The three classes `BasisGraph.vertex_class` returns, built once.
+INTERIOR = VertexClass("interior")
+BOUNDARY = VertexClass("boundary")
+OTHER = VertexClass("other")
 
 
 @dataclass(frozen=True)
@@ -98,9 +105,8 @@ class BasisGraph:
                 & self.edge_mask).bit_count()
 
     def faces_on_vertex(self, v: int) -> FrozenSet[int]:
-        faces = self.face_mask
-        return frozenset(fid for fid in self.basis.vertex_face_ids.get(v, ())
-                         if faces >> fid & 1)
+        return frozenset(bit_ids(
+            self.face_mask & self.basis.vertex_face_masks.get(v, 0)))
 
     def is_interior(self, v: int) -> bool:
         """Whether v has a surviving edge and all of them have weight 2."""
@@ -108,16 +114,15 @@ class BasisGraph:
         return bool(incident) and not incident & ~self.w2_mask
 
     def vertex_class(self, v: int) -> VertexClass:
-        """Interior, else boundary when v has one weight-2 edge fewer than
-        surviving faces on it, else other."""
-        if self.is_interior(v):
-            return VertexClass("interior")
-        faces = self.face_mask
-        on_v = sum(faces >> fid & 1
-                   for fid in self.basis.vertex_face_ids.get(v, ()))
-        w2 = self.g.incident_edge_masks.get(v, 0) & self.w2_mask
-        return VertexClass("boundary" if w2.bit_count() == on_v - 1
-                           else "other")
+        """`INTERIOR`, else `BOUNDARY` when v has one weight-2 edge fewer
+        than surviving faces on it, else `OTHER`: popcounts of v's
+        incident-edge mask and of its face mask against the graph's."""
+        incident = self.g.incident_edge_masks.get(v, 0) & self.edge_mask
+        w2 = incident & self.w2_mask
+        if incident and w2 == incident:
+            return INTERIOR
+        on_v = self.face_mask & self.basis.vertex_face_masks.get(v, 0)
+        return BOUNDARY if w2.bit_count() == on_v.bit_count() - 1 else OTHER
 
     @property
     def weights(self) -> Dict[int, int]:

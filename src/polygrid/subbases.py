@@ -66,12 +66,13 @@ def boundary_element_set(basis: FaceBasis,
 
 
 def _boundary_elements(bg: BasisGraph) -> FrozenSet[int]:
-    w2 = bg.w2_mask
+    weight1 = bg.edge_mask & ~bg.w2_mask
     masks = bg.basis.edge_masks
     boundary = {v for v in bg.vertices()
                 if bg.vertex_class(v).tag == "boundary"}
-    return frozenset(fid for fid in bg.face_ids
-                     if masks[fid] & ~w2 or bg.face(fid).vertices & boundary)
+    return frozenset(
+        fid for fid in bg.face_ids
+        if masks[fid] & weight1 or bg.face(fid).vertices & boundary)
 
 
 def _face_adjacency(bg: BasisGraph,
@@ -119,14 +120,13 @@ def decompose(g: PlanarEmbedding,
     records = _merge_overlapping(records)
     leftover = sorted(belems - used_boundary)
     adj = _face_adjacency(bg, leftover)
-    coset = sorted(_articulation_faces(adj))
-    free = {fid: ns - set(coset) for fid, ns in adj.items()
-            if fid not in coset}
+    coset = _articulation_faces(adj)
+    free = {fid: ns - coset for fid, ns in adj.items() if fid not in coset}
     for comp in components(free):
         records.append(SubbasisRecord(interior=(), boundary=comp))
     records.sort(key=lambda r: (r.boundary + r.interior))
     return SubbasisDecomposition(
-        records=tuple(records), coset=tuple(coset),
+        records=tuple(records), coset=tuple(sorted(coset)),
         boundary_element_faces=tuple(sorted(belems)))
 
 

@@ -545,6 +545,22 @@ def test_enclosed_faces_rejects_non_cycles(domino, fig8):
         enclosed_faces(frozenset(), trace_faces(domino), domino)
 
 
+def test_enclosed_faces_names_what_a_non_cycle_is():
+    # The message gives classify_edge_set's reading of the edge set.
+    g = gen_grid(3, 3)
+    lower, upper = (trace_faces(g).faces[fid].edges for fid in (0, 1))
+    apart = gen_grid(4, 2)
+    far = trace_faces(apart).faces
+    for e, graph, tag in ((frozenset(), g, "empty"),
+                          (lower | upper, g, "other"),
+                          (far[0].edges | far[2].edges, apart,
+                           "disjoint-cycles")):
+        assert classify_edge_set(e, graph).tag == tag
+        with pytest.raises(ValueError,
+                           match=f"^edge set is not a single cycle: {tag}$"):
+            enclosed_faces(e, trace_faces(graph), graph)
+
+
 def test_foreign_edge_ids_are_refused(square):
     # A negative id would alias an edge from the end of the edge list,
     # and one past it would index out of range.

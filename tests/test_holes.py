@@ -552,7 +552,7 @@ def test_x_is_tested_once_per_surviving_face_subset(monkeypatch):
         g = gen_grid(m, n)
         bg = BasisGraph(g, trace_faces(g))
         for x in sorted(g.coords):
-            on_x = sum(1 << fid for fid in bg.basis.vertex_face_ids[x])
+            on_x = bg.basis.vertex_face_masks[x]
             keys.clear()
             list(holes._cx_walk(bg, x, 3, {}, {}))
             assert len(set(keys)) == len(keys), (g.name, x)

@@ -189,6 +189,20 @@ def test_gen_grid_rejects_bad_requests():
         gen_grid(6, 6, holes=ring)
 
 
+def test_gen_grid_rejects_non_integer_holes():
+    # A float hole passed the range test and removed no cell, so the plain
+    # grid came back under a holed name.
+    for hole, shown in (((1.5, 1), r"\(1\.5, 1\)"),
+                        ((1, "2"), r"\(1, '2'\)")):
+        with pytest.raises(
+                GridGenError,
+                match=f"^hole {shown} has a non-integer coordinate$"):
+            gen_grid(6, 6, [hole])
+    g = gen_grid(6, 6, [(numpy.int64(1), 1)])
+    assert g.name == "grid6x6-holes[1,1]"
+    assert g.coords == gen_grid(6, 6, [(1, 1)]).coords
+
+
 def test_cells_to_embedding_rejects_empty_and_apart():
     with pytest.raises(ValueError, match="^empty graph$"):
         cells_to_embedding([], "none")

@@ -6,8 +6,8 @@ from polygrid import fixtures, trace_faces
 from polygrid.embedding import FaceBasis, reach
 from polygrid.grinberg import GrinbergEquation, equation_of_graph
 from polygrid.oracle import enumerate_polyominoes, gen_grid
-from polygrid.structure import (CASE_I, CASE_II, BasisGraph,
-                                NonTilingBasisError, VertexClass,
+from polygrid.structure import (BOUNDARY, CASE_I, CASE_II, INTERIOR, OTHER,
+                                BasisGraph, NonTilingBasisError, VertexClass,
                                 claw_d2_scan)
 
 
@@ -105,6 +105,35 @@ def test_classification_is_total_and_exclusive(grid4, fig8):
             w2 = sum(1 for e in incident if bg.weights[e] == 2)
             bdry = w2 == len(bg.faces_on_vertex(v)) - 1
             assert not (all_w2 and bdry and cls.tag == "other")
+
+
+def _counted_class(bg, v):
+    """The class by counting the surviving faces on v over the basis's
+    faces, as a generator sum, and the weight-2 edges at v."""
+    if bg.is_interior(v):
+        return VertexClass("interior")
+    on_v = sum(bg.face_mask >> fid & 1 for fid, face in
+               enumerate(bg.basis.faces) if v in face.vertices)
+    w2 = bg.g.incident_edge_masks.get(v, 0) & bg.w2_mask
+    return VertexClass("boundary" if w2.bit_count() == on_v - 1
+                       else "other")
+
+
+def test_vertex_class_matches_counted_faces_after_each_removal():
+    # The mask reading agrees with the counting one on every vertex of
+    # the root and of every single-face removal, and hands out the shared
+    # constants only.
+    checked = 0
+    for g in enumerate_polyominoes(6):
+        bg = root(g)
+        graphs = [bg] + [bg.remove_face(fid) for fid in bg.face_ids]
+        for graph in graphs:
+            for v in g.coords:
+                cls = graph.vertex_class(v)
+                assert cls == _counted_class(graph, v), (g.name, v)
+                assert any(cls is c for c in (INTERIOR, BOUNDARY, OTHER))
+                checked += 1
+    assert checked > 10000
 
 
 def test_boundary_edges(square, domino):

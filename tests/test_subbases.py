@@ -357,3 +357,13 @@ def test_decompose_shrink_tries_each_boundary_face_once(monkeypatch):
     assert len(dec.boundary_element_faces) == 32
     assert calls["remove_face"] == len(dec.boundary_element_faces)
     assert calls["vertex_class"] > g.order
+
+
+@pytest.mark.parametrize("n", [10, 500, 2000])
+def test_decompose_long_strip(n):
+    # A 2 x n strip has n - 1 faces in a path: the two end faces are
+    # records of their own and the n - 3 between them form the co-set.
+    dec = decompose(gen_grid(2, n))
+    assert dec.g_count == 2
+    assert [r.boundary for r in dec.records] == [(0,), (n - 2,)]
+    assert dec.coset == tuple(range(1, n - 2))
