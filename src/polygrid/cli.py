@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .embedding import PlanarEmbedding, parse_pgg, trace_faces, write_pgg
-from .grinberg import equation_of_graph, format_equation, solve
+from .grinberg import equation_of_graph, format_equation, partitions, solve
 from .holes import HAMILTONIAN, UNVERIFIED, decide, hole_contexts
 from .oracle import (compare, enumerate_polyominoes, gen_grid,
                      hamilton_oracle, report_json)
@@ -82,23 +82,23 @@ def cmd_classify(g: PlanarEmbedding, args) -> Report:
 def cmd_grinberg(g: PlanarEmbedding, args) -> Report:
     basis = trace_faces(g)
     eq = equation_of_graph(BasisGraph(g, basis))
-    limit = args.limit if not args.all else 1 << len(basis.faces)
-    partitions = solve(eq, limit=limit)
+    # --all draws every partition; no integer bound stands for "all".
+    found = list(partitions(eq)) if args.all else solve(eq, limit=args.limit)
     payload = {
         "graph": g.name,
         "equation": format_equation(eq),
         "order": eq.order,
         "target": eq.target,
         "faceLengths": list(eq.lengths),
-        "feasible": bool(partitions),
+        "feasible": bool(found),
         "partitions": [
             {"inside": sorted(p.inside), "outside": sorted(p.outside)}
-            for p in partitions],
+            for p in found],
     }
     lines = [f"graph {g.name}", f"equation: {format_equation(eq)}"]
     lines += [f"solution {i}: inside faces "
               f"[{' '.join(str(f) for f in sorted(p.inside))}]"
-              for i, p in enumerate(partitions)] or ["no solution"]
+              for i, p in enumerate(found)] or ["no solution"]
     return payload, lines, 0
 
 

@@ -2,22 +2,26 @@
 
 A graph is given as a straight-line plane drawing on integer coordinates.
 A `PlanarEmbedding` holds its `coords` and `edges`, the `rotation` (each
-vertex's neighbours in counterclockwise angular order as a tuple, the one
-neighbour map) and the incident-edge masks, the one edge index, which
-`edge_id`, `trace_faces` and `BasisGraph` read.  Every drawing is checked
-for planarity except a set of unit cells, which
+vertex's neighbours in counterclockwise angular order as a tuple, the
+one neighbour map) and the incident-edge masks, the one edge index,
+which `edge_id`, `trace_faces` and `BasisGraph` read.  Every drawing is
+checked for planarity except a set of unit cells, which
 `PlanarEmbedding._from_unit_cells` builds planar by construction; graphs
 built there with one interning table share their equal point, edge and
-rotation tuples, while each keeps its own dicts.  The
-check files each edge under both ends by one exact direction key; sorting
-those keys gives the rotation and finds edges that overlap at a common
-vertex, and segment pairs in shared grid cells are tested only for edges
-with no common endpoint, so a lattice, whose cells each hold the edges of
-one vertex, tests none.  Faces are traced by following each dart to the
-next one in the rotation, and a `FaceBasis` keeps per-edge and per-vertex
-face indexes, the latter as bitsets.  Cycles are GF(2) vectors over edge
-ids represented as frozensets; "one cycle" is tested by a walk along the
-edge set's bitset.
+rotation tuples, while each keeps its own dicts.  A drawing whose edges
+are all unit axis-parallel segments, a grid graph, needs no segment
+test: the check files each edge in one of four direction slots, east,
+north, west or south, at each end, and reads the rotation off the slots
+in that order.  Any other drawing, or one with two edges in one slot,
+goes through the general check, which files each edge under both ends by
+one exact direction key; sorting those keys gives the rotation and finds
+edges that overlap at a common vertex, and segment pairs in shared grid
+cells are tested only for edges with no common endpoint, so a scaled
+lattice, whose cells each hold the edges of one vertex, tests none.
+Faces are traced by following each dart to the next one in the rotation,
+and a `FaceBasis` keeps per-edge and per-vertex face indexes, the latter
+as bitsets.  Cycles are GF(2) vectors over edge ids represented as
+frozensets; "one cycle" is tested by a walk along the edge set's bitset.
 """
 
 from __future__ import annotations
@@ -171,6 +175,21 @@ class PlanarEmbedding:
         """Reject overlapping or crossing edges and vertices on foreign
         edges; return the rotation.
 
+        A unit lattice drawing, every edge a unit axis-parallel segment
+        (|dx| + |dy| == 1), takes `_unit_rotation`: each edge is filed in
+        one of four direction slots, east, north, west or south, at each
+        end, and the rotation is read off the slots.  That is exact.  Two
+        distinct unit lattice segments meet only at a shared endpoint, and
+        no unit segment has a lattice point in its interior, so such a
+        drawing has no crossing, overlap or vertex on a foreign edge to
+        find.  E, N, W, S is the order the direction keys below sort to,
+        and the rotation keeps the order of `coords`, with tuple values,
+        so it is the one the general check returns.  Any other edge, or
+        two edges leaving one vertex in the same slot, sends the drawing
+        through the general check unchanged; a shared slot needs a
+        repeated edge or a shared position, which `_validate` rejects
+        first.
+
         Each edge is filed under both ends by the exact key of its
         direction there, counterclockwise from east: `(0, 0)` east,
         `(1, -dx/dy)` for dy > 0, `(2, 0)` west and `(3, -dx/dy)` for
@@ -188,7 +207,7 @@ class PlanarEmbedding:
         candidate pairs are collected cell by cell: the pairs of edges
         with no common endpoint.  A cell whose edges all share one
         endpoint, its hub, holds no such pair and is skipped (each vertex
-        of a unit lattice is its cell's hub).  The sorted pairs are tested
+        of a scaled lattice is its cell's hub).  The sorted pairs are tested
         until one crosses or passes the smallest overlap, and the smaller
         of the two is reported.  Then each vertex, in the order of
         `coords`, is tested against the edges of its own cell in edge
@@ -196,6 +215,9 @@ class PlanarEmbedding:
         one a scan of all pairs would report.
         """
         edges = self.edges
+        rotation = _unit_rotation(self.coords, edges)
+        if rotation is not None:
+            return rotation
         segs = [(self.coords[u], self.coords[v]) for u, v in edges]
         leaving: Dict[int, List[tuple]] = {v: [] for v in self.coords}
         side = 1            # the longest edge extent, at least 1
@@ -305,6 +327,37 @@ class PlanarEmbedding:
     def __repr__(self):
         return (f"PlanarEmbedding({self.name!r}, |V|={self.order}, "
                 f"|E|={self.size})")
+
+
+# The direction slot of a unit axis-parallel edge, by its (dx, dy):
+# east, north, west and south, counterclockwise from east.
+_UNIT_SLOTS = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
+
+
+def _unit_rotation(coords: Mapping[int, Tuple[int, int]],
+                   edges: Sequence[Tuple[int, int]]
+                   ) -> Optional[Dict[int, Tuple[int, ...]]]:
+    """The rotation of a drawing whose edges are all unit axis-parallel
+    segments, or None for any other (see `_check_planarity`).
+
+    Each edge is filed in its direction slot at one end and in the
+    opposite slot at the other.  The first edge that is not such a
+    segment, or that finds its slot at either end taken, gives None.
+    """
+    slots = {v: [None, None, None, None] for v in coords}
+    slot_of = _UNIT_SLOTS.get
+    for u, v in edges:
+        (x, y), (x2, y2) = coords[u], coords[v]
+        s = slot_of((x2 - x, y2 - y))
+        if s is None:
+            return None
+        at_u, at_v = slots[u], slots[v]
+        if at_u[s] is not None or at_v[s ^ 2] is not None:
+            return None
+        at_u[s] = v
+        at_v[s ^ 2] = u     # s ^ 2 is the opposite slot
+    return {v: tuple([w for w in ws if w is not None])
+            for v, ws in slots.items()}
 
 
 def _shared_end(ids: Sequence[int],

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import json
 import operator
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -412,13 +413,20 @@ def compare(graphs: Iterable[PlanarEmbedding], budget: int = 10 ** 6,
     A NoSolution verdict against an oracle cycle would falsify the trusted
     Grinberg necessity and is a hard assertion; disagreements on claw/hole
     logic are recorded and persisted, never asserted away.  A budget below
-    1 is a ValueError before the first graph is decided.
+    1 is a ValueError before the first graph is decided.  With `save_dir`
+    set, so is a graph name holding a path separator, checked before that
+    graph is decided: its candidate file would land outside `save_dir`.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    separators = {"/", os.sep, os.altsep} - {None}
     rows: List[ComparisonRow] = []
     candidates: List[str] = []
     for g in graphs:
+        if save_dir is not None and any(c in g.name for c in separators):
+            raise ValueError(
+                f"graph name {g.name!r} holds a path separator, so it "
+                f"cannot name a candidate file in {str(save_dir)!r}")
         basis = trace_faces(g)
         verdict = decide(g, basis=basis, claw_mode=claw_mode)
         oracle = hamilton_oracle(g, budget=budget)

@@ -62,6 +62,19 @@ def test_grinberg_all(pgg, capsys):
     assert len(json.loads(out)["partitions"]) == 36
 
 
+def test_grinberg_all_past_63_faces(pgg, capsys):
+    # 9x9 has 64 faces and odd order; the 2x66 strip has 65 faces, all
+    # inside its one Hamilton cycle.
+    code, out, _ = run(capsys, "grinberg", pgg(gen_grid(9, 9)), "--all")
+    assert code == 0
+    assert "no solution" in out
+    code, out, _ = run(capsys, "grinberg", pgg(gen_grid(2, 66)), "--all",
+                       "--json")
+    assert code == 0
+    partitions = json.loads(out)["partitions"]
+    assert partitions == [{"inside": list(range(65)), "outside": []}]
+
+
 def test_grinberg_bad_limit_exit_3(pgg, capsys):
     # decide checks the bound before any stage runs: grid3's infeasible
     # equation would otherwise decide first, and grid4 would reach the

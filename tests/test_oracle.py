@@ -1,12 +1,13 @@
 import gc
 import itertools
 import json
+import re
 import tracemalloc
 
 import numpy
 import pytest
 
-from polygrid import oracle, trace_faces
+from polygrid import fixtures, oracle, trace_faces
 from polygrid.embedding import (PlanarEmbedding, components, is_hamilton_cycle,
                                 parse_pgg, write_pgg)
 from polygrid.oracle import (GridGenError, OracleResult, cells_to_embedding,
@@ -368,6 +369,23 @@ def test_compare_makes_save_dir_only_for_a_candidate(tmp_path, monkeypatch):
     assert made == [loud]
     assert sorted(p.name for p in loud.iterdir()) == sorted(
         f"{name}.pgg" for name in report.candidates)
+
+
+def test_compare_rejects_a_name_that_leaves_save_dir(tmp_path, monkeypatch):
+    # The domino disagrees in strict mode, so compare writes it to
+    # save_dir under its name.
+    domino = fixtures.domino()
+    save_dir = tmp_path / "saved"
+    for name in ("../escaped", "sub/dir"):
+        g = PlanarEmbedding(domino.coords, domino.edges, name=name)
+        # Without save_dir no file is written, and the name is kept.
+        assert compare([g], claw_mode="strict").candidates == (name,)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "decide", lambda *a, **k: pytest.fail(
+                "decide ran before the name was checked"))
+            with pytest.raises(ValueError, match=re.escape(repr(name))):
+                compare([g], claw_mode="strict", save_dir=save_dir)
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
 def test_compare_empty_stream():

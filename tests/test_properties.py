@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from polygrid import trace_faces
 from polygrid import geometry
 from polygrid.embedding import (EmbeddingError, PggParseError,
-                                PlanarEmbedding, sym_diff, sym_diff_all)
+                                PlanarEmbedding, _unit_rotation, sym_diff,
+                                sym_diff_all)
 from polygrid.grinberg import (GrinbergEquation, count_solutions, solvable,
                                solve)
 from polygrid.oracle import (cells_to_embedding, enumerate_polyominoes,
@@ -327,6 +328,81 @@ def test_bucketed_planarity_matches_pairwise_scan(drawing):
     g.coords, g.edges = coords, edges
     assert _error(g._check_planarity) == _error(
         lambda: _pairwise_planarity(coords, edges))
+
+
+@st.composite
+def unit_drawings(draw):
+    """A random subset of the sides of a small lattice box, each drawn
+    either way round, with permuted ids, shuffled edge order, isolated
+    points inside and outside the box and, sometimes, a repeated edge;
+    also whether an edge is repeated."""
+    w, h = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    ox, oy = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    points = [(ox + x, oy + y) for x in range(w) for y in range(h)]
+    points += [p for p in draw(st.lists(
+        st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=2,
+        unique=True)) if p not in points]
+    sides = [(p, (p[0] + dx, p[1] + dy)) for p in points
+             for dx, dy in ((1, 0), (0, 1))
+             if (p[0] + dx, p[1] + dy) in points]
+    chosen = []
+    if sides:
+        for a, b in draw(st.lists(st.sampled_from(sides), unique=True)):
+            chosen.append((a, b) if draw(st.booleans()) else (b, a))
+    repeats = []
+    if chosen:
+        for a, b in draw(st.lists(st.sampled_from(chosen), max_size=2)):
+            repeats.append((a, b) if draw(st.booleans()) else (b, a))
+    ids = draw(st.permutations(range(len(points))))
+    coords = dict(zip(ids, points))
+    vid = {p: v for v, p in coords.items()}
+    edges = tuple((vid[a], vid[b])
+                  for a, b in draw(st.permutations(chosen + repeats)))
+    return coords, edges, bool(repeats)
+
+
+def _planarity_matches_reference(coords, edges):
+    """The check's first error is the pairwise scan's, and a drawing it
+    accepts gets the comparator-sorted rotation, dict order included."""
+    g = object.__new__(PlanarEmbedding)
+    g.coords, g.edges = coords, edges
+    error = _error(g._check_planarity)
+    assert error == _error(lambda: _pairwise_planarity(coords, edges))
+    if error is None:
+        rotation = g._check_planarity()
+        assert list(rotation.items()) == list(rotation_reference(g).items())
+        assert all(type(r) is tuple for r in rotation.values())
+
+
+@given(unit_drawings())
+@settings(max_examples=300)
+def test_unit_lattice_planarity_matches_reference(drawing):
+    # Only a repeated edge sends a unit lattice drawing down the general
+    # path, and that path reports it as the first crossing pair.
+    coords, edges, repeated = drawing
+    assert (_unit_rotation(coords, edges) is None) == repeated
+    _planarity_matches_reference(coords, edges)
+
+
+@given(unit_drawings(), st.data())
+@settings(max_examples=300)
+def test_unit_lattice_with_a_longer_edge_matches_reference(drawing, data):
+    # One edge that is not a unit axis-parallel segment, anywhere in the
+    # edge order, takes the whole drawing through the general path; a
+    # long straight edge may overlap the lattice or pass through a point.
+    coords, edges, _ = drawing
+    ids = sorted(coords)
+    u = data.draw(st.sampled_from(ids))
+    x, y = coords[u]
+    v = data.draw(st.sampled_from([w for w in ids if abs(
+        coords[w][0] - x) + abs(coords[w][1] - y) > 1] or [None]))
+    if v is None:
+        return
+    edges = list(edges)
+    edges.insert(data.draw(st.integers(0, len(edges))), (u, v))
+    edges = tuple(edges)
+    assert _unit_rotation(coords, edges) is None
+    _planarity_matches_reference(coords, edges)
 
 
 def _trace(g, tracer):
