@@ -103,8 +103,7 @@ def cmd_grinberg(g: PlanarEmbedding, args) -> Report:
 
 
 def cmd_holes(g: PlanarEmbedding, args) -> Report:
-    contexts = list(
-        hole_contexts(g, BasisGraph(g, trace_faces(g)), args.max_cx))
+    contexts = list(hole_contexts(BasisGraph(g, trace_faces(g)), args.max_cx))
     payload = {
         "graph": g.name,
         "contexts": [

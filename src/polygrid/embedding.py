@@ -21,7 +21,9 @@ lattice, whose cells each hold the edges of one vertex, tests none.
 Faces are traced by following each dart to the next one in the rotation,
 and a `FaceBasis` keeps per-edge and per-vertex face indexes, the latter
 as bitsets.  Cycles are GF(2) vectors over edge ids represented as
-frozensets; "one cycle" is tested by a walk along the edge set's bitset.
+frozensets.  One walk along an edge set's bitset, `_cycles`, answers
+every question about it: `is_hamilton_cycle`, `classify_edge_set`,
+`cycle_vertex_walk` and `enclosed_faces` all read its cycles.
 """
 
 from __future__ import annotations
@@ -205,14 +207,12 @@ class PlanarEmbedding:
         those of its corners, and only the two cells of its ends when
         these share a row or a column (an axis-parallel edge, say).  The
         candidate pairs are collected cell by cell: the pairs of edges
-        with no common endpoint.  A cell whose edges all share one
-        endpoint, its hub, holds no such pair and is skipped (each vertex
-        of a scaled lattice is its cell's hub).  The sorted pairs are tested
-        until one crosses or passes the smallest overlap, and the smaller
-        of the two is reported.  Then each vertex, in the order of
-        `coords`, is tested against the edges of its own cell in edge
-        order, skipping a cell it is the hub of, so the first error is the
-        one a scan of all pairs would report.
+        with no common endpoint.  The sorted pairs are tested until one
+        crosses or passes the smallest overlap, and the smaller of the two
+        is reported.  Then each vertex, in the order of `coords`, is tested
+        against the edges of its own cell that do not end at it, in edge
+        order, so the first error is the one a scan of all pairs would
+        report.
         """
         edges = self.edges
         rotation = _unit_rotation(self.coords, edges)
@@ -254,15 +254,8 @@ class PlanarEmbedding:
                 touched = (cu, cv, (cu[0], cv[1]), (cv[0], cu[1]))
             for cell in touched:
                 cells.setdefault(cell, []).append(i)
-        # Edges that all share one endpoint, the cell's hub, make no pair
-        # to test, and no vertex but the hub lies on them.
-        hubs: Dict[Tuple[int, int], int] = {}
         pairs: Set[Tuple[int, int]] = set()
-        for cell, members in cells.items():
-            hub = _shared_end(members, edges)
-            if hub is not None:
-                hubs[cell] = hub
-                continue
+        for members in cells.values():
             for k, i in enumerate(members):
                 u, v = edges[i]
                 for j in members[k + 1:]:
@@ -280,10 +273,7 @@ class PlanarEmbedding:
         # A vertex sitting in the interior of an unrelated edge also breaks
         # the drawing even though no two segments cross.
         for vid, p in self.coords.items():
-            cell = cell_of[vid]
-            if hubs.get(cell) == vid:
-                continue
-            for i in cells.get(cell, ()):
+            for i in cells.get(cell_of[vid], ()):
                 u, v = edges[i]
                 if vid in (u, v):
                     continue
@@ -360,18 +350,6 @@ def _unit_rotation(coords: Mapping[int, Tuple[int, int]],
             for v, ws in slots.items()}
 
 
-def _shared_end(ids: Sequence[int],
-                edges: Sequence[Tuple[int, int]]) -> Optional[int]:
-    """The endpoint that the edges with the given ids all share, or None."""
-    for end in edges[ids[0]]:
-        for j in ids:
-            if end not in edges[j]:
-                break
-        else:
-            return end
-    return None
-
-
 # -- parsing -----------------------------------------------------------------
 
 def parse_pgg(text: str) -> PlanarEmbedding:
@@ -433,11 +411,16 @@ def parse_pgg(text: str) -> PlanarEmbedding:
         raise PggParseError(str(exc))
 
 
-def write_pgg(g: PlanarEmbedding) -> str:
-    # parse_pgg reads the name as one whitespace-free token before any `#`.
-    if not g.name or any(c.isspace() or c == "#" for c in g.name):
-        raise ValueError(f"graph name {g.name!r} cannot be written to .pgg "
+def check_pgg_name(name: str) -> None:
+    """ValueError unless `write_pgg` can write name: `parse_pgg` reads it
+    as one whitespace-free token before any `#`."""
+    if not name or any(c.isspace() or c == "#" for c in name):
+        raise ValueError(f"graph name {name!r} cannot be written to .pgg "
                          f"(empty, or holds whitespace or '#')")
+
+
+def write_pgg(g: PlanarEmbedding) -> str:
+    check_pgg_name(g.name)
     lines = [f"graph {g.name}"]
     for vid in sorted(g.coords):
         x, y = g.coords[vid]
@@ -624,82 +607,81 @@ class CycleClass:
     count: int = 0              # component count when tag == "disjoint-cycles"
 
 
-def _adjacency(e: EdgeSet, g: PlanarEmbedding) -> Dict[int, List[int]]:
-    """The neighbours of each vertex in the subgraph of the edges e;
-    ValueError when an id in e is not an edge id of g."""
-    adj: Dict[int, List[int]] = {}
-    for eid in e:
-        if not 0 <= eid < g.size:
-            raise ValueError(f"{eid} is not an edge id of {g.name}")
-        u, v = g.edges[eid]
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    return adj
-
-
-def classify_edge_set(e: EdgeSet, g: PlanarEmbedding) -> CycleClass:
-    """Degree-and-connectivity analysis of the subgraph touched by e;
-    ValueError when an id in e is not an edge id of g."""
-    adj = _adjacency(e, g)
-    if not adj:
-        return CycleClass("empty")
-    if any(len(ns) != 2 for ns in adj.values()):
-        return CycleClass("other")
-    count = len(components(adj))
-    if count == 1:
-        return CycleClass("single-cycle", length=len(e))
-    return CycleClass("disjoint-cycles", count=count)
-
-
-def _edge_mask(e: EdgeSet, g: PlanarEmbedding) -> Optional[int]:
-    """The edges of e as a bitset, or None when an id in e is not an edge
-    id of g (a negative one included)."""
+def _edge_mask(e: EdgeSet, g: PlanarEmbedding) -> int:
+    """The edges of e as a bitset; ValueError when an id in e is not an
+    edge id of g (a negative one included)."""
     size = g.size
     mask = 0
     for eid in e:
         if not 0 <= eid < size:
-            return None
+            raise ValueError(f"{eid} is not an edge id of {g.name}")
         mask |= 1 << eid
     return mask
 
 
-def _is_one_cycle(mask: int, start: int, g: PlanarEmbedding) -> bool:
-    """Whether the edges of mask form one cycle through start.
+def _cycles(mask: int, g: PlanarEmbedding) -> Optional[List[List[int]]]:
+    """The cycles the edges of mask form, each as its vertex walk, or None
+    when a vertex they touch does not have exactly two of them.
 
-    A walk along mask from start must first return after as many steps as
-    mask has edges, meeting at each vertex it reaches exactly two edges of
-    the mask.  It then goes once round a cycle of that many edges, which
-    are all of the mask.
+    Each walk starts at the first end of the lowest edge not yet walked,
+    leaves it by that edge, and at each vertex it reaches takes the edge
+    of mask not yet walked, until it is back at its start.  A vertex with
+    two mask edges is entered and left once, so the walk goes once round
+    one cycle and finds one edge to take at each vertex, and every edge
+    of mask is walked unless a vertex without two of them is met first.
     """
     incident = g.incident_edge_masks
     ends = g.edges
-    n = mask.bit_count()
-    v = start
-    came = 0
-    for steps in range(1, n + 1):
-        at = incident[v] & mask
-        if at.bit_count() != 2:
-            return False
-        out = at & ~came
-        out &= -out
-        a, b = ends[out.bit_length() - 1]
-        v = b if a == v else a
-        if v == start:
-            return steps == n
-        came = out
-    return False
+    walks = []
+    left = mask
+    while left:
+        start = v = ends[(left & -left).bit_length() - 1][0]
+        walk = []
+        while True:
+            at = incident[v]
+            if (at & mask).bit_count() != 2:
+                return None
+            walk.append(v)
+            out = at & left
+            out &= -out
+            left ^= out
+            a, b = ends[out.bit_length() - 1]
+            v = b if a == v else a
+            if v == start:
+                break
+        walks.append(walk)
+    return walks
+
+
+def classify_edge_set(e: EdgeSet, g: PlanarEmbedding) -> CycleClass:
+    """Degree-and-connectivity analysis of the subgraph touched by e, read
+    from its `_cycles`; ValueError when an id in e is not an edge id of
+    g."""
+    walks = _cycles(_edge_mask(e, g), g)
+    if walks is None:
+        return CycleClass("other")
+    if not walks:
+        return CycleClass("empty")
+    if len(walks) == 1:
+        return CycleClass("single-cycle", length=len(e))
+    return CycleClass("disjoint-cycles", count=len(walks))
 
 
 def is_hamilton_cycle(e: EdgeSet, g: PlanarEmbedding) -> bool:
     """Whether e is one cycle through every vertex of g; False when any id
     in e is not an edge id of g (a negative one included).
 
-    On the edge mask of e: it must hold |V| edges and form one cycle
-    through any vertex, which then passes every vertex.
+    On the edge mask of e: it must hold |V| edges and form one cycle,
+    which then passes every vertex.
     """
-    mask = _edge_mask(e, g)
-    return (mask is not None and mask.bit_count() == g.order
-            and _is_one_cycle(mask, next(iter(g.coords)), g))
+    try:
+        mask = _edge_mask(e, g)
+    except ValueError:
+        return False
+    if mask.bit_count() != g.order:
+        return False
+    walks = _cycles(mask, g)
+    return walks is not None and len(walks) == 1
 
 
 def cycle_vertex_walk(e: EdgeSet, g: PlanarEmbedding) -> List[int]:
@@ -708,18 +690,14 @@ def cycle_vertex_walk(e: EdgeSet, g: PlanarEmbedding) -> List[int]:
     Starts at the smallest touched vertex, toward its smaller neighbour;
     deterministic for golden output.  ValueError when e is not one cycle.
     """
-    adj = _adjacency(e, g)
-    if not adj or any(len(ns) != 2 for ns in adj.values()):
+    walks = _cycles(_edge_mask(e, g), g)
+    if walks is None or len(walks) != 1:
         raise ValueError("edge set is not a single cycle")
-    start = min(adj)
-    walk = [start]
-    prev, cur = start, min(adj[start])
-    while cur != start:
-        walk.append(cur)
-        a, b = adj[cur]
-        prev, cur = cur, b if a == prev else a
-    if len(walk) != len(e):
-        raise ValueError("edge set is not a single cycle")
+    walk = walks[0]
+    k = walk.index(min(walk))
+    walk = walk[k:] + walk[:k]
+    if walk[-1] < walk[1]:
+        walk[1:] = walk[:0:-1]
     return walk
 
 
@@ -727,18 +705,15 @@ def enclosed_faces(c: EdgeSet, basis: FaceBasis,
                    g: PlanarEmbedding) -> FrozenSet[int]:
     """Indices of bounded faces lying strictly inside the single cycle c.
 
-    c is checked to be one cycle by a walk along its edge mask, as in
-    `is_hamilton_cycle`; otherwise ValueError, with `classify_edge_set`'s
-    reading of c, or its error for an id that is not an edge id of g.
+    c is read by `classify_edge_set`: anything but one cycle is a
+    ValueError with its tag, and so is an id that is not an edge id of g.
     Then a parity fill over the faces: the outer face is outside, and
     stepping across an edge to a neighbouring face switches between
     inside and outside exactly when the edge lies on c.
     """
-    mask = _edge_mask(c, g)
-    if not mask or not _is_one_cycle(
-            mask, g.edges[(mask & -mask).bit_length() - 1][0], g):
-        cls = classify_edge_set(c, g)
-        raise ValueError(f"edge set is not a single cycle: {cls.tag}")
+    tag = classify_edge_set(c, g).tag
+    if tag != "single-cycle":
+        raise ValueError(f"edge set is not a single cycle: {tag}")
     edge_faces = basis.edge_face_ids
     inside: Dict[int, bool] = {}
     stack: List[int] = []

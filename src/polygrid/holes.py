@@ -222,11 +222,11 @@ def is_global_hole(residual: BasisGraph, ctx: HoleContext,
     return not ok and residual.connected()
 
 
-def hole_contexts(g: PlanarEmbedding, bg: BasisGraph,
+def hole_contexts(bg: BasisGraph,
                   max_cx: int) -> Iterator[Tuple[HoleContext, bool]]:
-    """Every hole context the criterion searches, with its global-hole
-    test, in search order: ascending beginning vertex of degree >= 4, then
-    the lexicographic order of the C_x sets.
+    """Every hole context the criterion searches in the graph `bg.g`, with
+    its global-hole test, in search order: ascending beginning vertex of
+    degree >= 4, then the lexicographic order of the C_x sets.
 
     Each context is built and tested on the residual the C_x walk
     already holds, whose equation the walk has found feasible.  The walks
@@ -240,7 +240,7 @@ def hole_contexts(g: PlanarEmbedding, bg: BasisGraph,
         raise ValueError("max_cx must be >= 1")
     table: _Removals = {}
     feasible: _Feasible = {}
-    for x in sorted(g.coords):
+    for x in sorted(bg.g.coords):
         for cx, residual in _cx_walk(bg, x, max_cx, table, feasible):
             ctx = build_context(residual, x, cx)
             yield ctx, is_global_hole(residual, ctx, feasible)
@@ -293,7 +293,7 @@ def decide(g: PlanarEmbedding, basis: Optional[FaceBasis] = None,
         return Verdict(CLAW, claw_reports=reports,
                        details="claw(d2) case I present (strict reading)")
     if not feasible_without_any(eq, max_cx + 1):
-        for ctx, hole in hole_contexts(g, bg, max_cx):
+        for ctx, hole in hole_contexts(bg, max_cx):
             if hole:
                 return Verdict(GLOBAL_HOLE, hole=ctx,
                                details=f"global hole at vertex {ctx.x}")

@@ -60,8 +60,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .embedding import (EdgeSet, PlanarEmbedding, is_hamilton_cycle,
-                        trace_faces, write_pgg)
+from .embedding import (EdgeSet, PlanarEmbedding, check_pgg_name,
+                        is_hamilton_cycle, trace_faces, write_pgg)
 # Unused here, but the benchmark tracer wraps `oracle.solvable` by name.
 from .grinberg import solvable
 from .holes import HAMILTONIAN, NO_SOLUTION, UNVERIFIED, decide
@@ -414,8 +414,10 @@ def compare(graphs: Iterable[PlanarEmbedding], budget: int = 10 ** 6,
     Grinberg necessity and is a hard assertion; disagreements on claw/hole
     logic are recorded and persisted, never asserted away.  A budget below
     1 is a ValueError before the first graph is decided.  With `save_dir`
-    set, so is a graph name holding a path separator, checked before that
-    graph is decided: its candidate file would land outside `save_dir`.
+    set, so is a graph name that could not name its candidate file,
+    checked before that graph is decided: one `write_pgg` cannot write
+    (`check_pgg_name`), or one holding a path separator, whose file would
+    land outside `save_dir`.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -423,10 +425,12 @@ def compare(graphs: Iterable[PlanarEmbedding], budget: int = 10 ** 6,
     rows: List[ComparisonRow] = []
     candidates: List[str] = []
     for g in graphs:
-        if save_dir is not None and any(c in g.name for c in separators):
-            raise ValueError(
-                f"graph name {g.name!r} holds a path separator, so it "
-                f"cannot name a candidate file in {str(save_dir)!r}")
+        if save_dir is not None:
+            check_pgg_name(g.name)
+            if any(c in g.name for c in separators):
+                raise ValueError(
+                    f"graph name {g.name!r} holds a path separator, so it "
+                    f"cannot name a candidate file in {str(save_dir)!r}")
         basis = trace_faces(g)
         verdict = decide(g, basis=basis, claw_mode=claw_mode)
         oracle = hamilton_oracle(g, budget=budget)

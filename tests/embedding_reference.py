@@ -1,13 +1,16 @@
-"""Reference rotation and face tracing for the tests to compare the
-library's embedding against: a cross-product comparator sort and a dart
-walk that looks each step up in the rotation and each face edge up by
-`edge_id`, and tells the outer face by its negative signed area."""
+"""Reference rotation, face tracing and edge-set reading for the tests to
+compare the library's embedding against: a cross-product comparator sort;
+a dart walk that looks each step up in the rotation and each face edge up
+by `edge_id`, and tells the outer face by its negative signed area; and
+an adjacency-dict reading of edge sets, by degrees, `components` and a
+walk from neighbour to neighbour, apart from the library's one walk along
+the edge mask."""
 
 import functools
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from polygrid.embedding import (EmbeddingError, Face, FaceBasis,
-                                PlanarEmbedding)
+from polygrid.embedding import (CycleClass, EdgeSet, EmbeddingError, Face,
+                                FaceBasis, PlanarEmbedding, components)
 
 
 def ccw_sort_reference(coords: Dict[int, Tuple[int, int]], v: int,
@@ -103,3 +106,52 @@ def trace_faces_reference(g: PlanarEmbedding) -> FaceBasis:
         for i in range(len(outer)))
     return FaceBasis(faces=tuple(bounded), outer_edges=outer_edges,
                      outer_walk=tuple(outer))
+
+
+def adjacency_reference(e: EdgeSet,
+                        g: PlanarEmbedding) -> Dict[int, List[int]]:
+    """The neighbours of each vertex in the subgraph of the edges e;
+    ValueError when an id in e is not an edge id of g."""
+    adj: Dict[int, List[int]] = {}
+    for eid in e:
+        if not 0 <= eid < g.size:
+            raise ValueError(f"{eid} is not an edge id of {g.name}")
+        u, v = g.edges[eid]
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    return adj
+
+
+def classify_edge_set_reference(e: EdgeSet,
+                                g: PlanarEmbedding) -> CycleClass:
+    """Empty, other (a touched vertex without two of the edges), or one or
+    more cycles, counted as the components of the adjacency."""
+    adj = adjacency_reference(e, g)
+    if not adj:
+        return CycleClass("empty")
+    if any(len(ns) != 2 for ns in adj.values()):
+        return CycleClass("other")
+    count = len(components(adj))
+    if count == 1:
+        return CycleClass("single-cycle", length=len(e))
+    return CycleClass("disjoint-cycles", count=count)
+
+
+def cycle_vertex_walk_reference(e: EdgeSet,
+                                g: PlanarEmbedding) -> List[int]:
+    """The vertices of the single cycle e from the smallest, toward its
+    smaller neighbour, by following the adjacency; ValueError when e is not
+    one cycle."""
+    adj = adjacency_reference(e, g)
+    if not adj or any(len(ns) != 2 for ns in adj.values()):
+        raise ValueError("edge set is not a single cycle")
+    start = min(adj)
+    walk = [start]
+    prev, cur = start, min(adj[start])
+    while cur != start:
+        walk.append(cur)
+        a, b = adj[cur]
+        prev, cur = cur, b if a == prev else a
+    if len(walk) != len(e):
+        raise ValueError("edge set is not a single cycle")
+    return walk

@@ -58,13 +58,12 @@ def build_context_reference(residual: BasisGraph, x: int,
     return HoleContext(x=x, cx=cx)
 
 
-def hole_contexts_reference(g: PlanarEmbedding, bg: BasisGraph,
-                            max_cx: int) -> Iterator[
-                                Tuple[HoleContext, bool]]:
-    """Every hole context with its global-hole test, in search order:
-    ascending beginning vertex, then the lexicographic order of the C_x
-    sets."""
-    for x in sorted(g.coords):
+def hole_contexts_reference(bg: BasisGraph, max_cx: int) -> Iterator[
+        Tuple[HoleContext, bool]]:
+    """Every hole context of the graph `bg.g` with its global-hole test,
+    in search order: ascending beginning vertex, then the lexicographic
+    order of the C_x sets."""
+    for x in sorted(bg.g.coords):
         for cx, residual in cx_walk_reference(bg, x, max_cx):
             ctx = build_context_reference(residual, x, cx)
             yield ctx, is_global_hole(residual, ctx)
@@ -100,7 +99,7 @@ def decide_reference(g: PlanarEmbedding, basis: FaceBasis, limit: int = 64,
     if not solvable(eq):
         verdict = Verdict(NO_SOLUTION, details="equation has no solution")
         return {"strict": verdict, "lenient": verdict}
-    hole = next((ctx for ctx, is_hole in hole_contexts(g, bg, max_cx)
+    hole = next((ctx for ctx, is_hole in hole_contexts(bg, max_cx)
                  if is_hole), None)
     if hole is not None:
         searched = Verdict(GLOBAL_HOLE, hole=hole,

@@ -8,12 +8,14 @@ import pytest
 from polygrid import (PggParseError, classify_edge_set, enclosed_faces,
                       fixtures, is_hamilton_cycle, parse_pgg, sym_diff,
                       sym_diff_all, trace_faces, write_pgg)
-from polygrid.embedding import (EmbeddingError, PlanarEmbedding,
-                                cycle_vertex_walk)
+from polygrid.embedding import (CycleClass, EmbeddingError,
+                                PlanarEmbedding, cycle_vertex_walk)
 from polygrid.oracle import enumerate_polyominoes, gen_grid, hamilton_oracle
 from polygrid.subbases import reduce_to_Gg
 
-from embedding_reference import (rotation_reference, signed_area2,
+from embedding_reference import (classify_edge_set_reference,
+                                 cycle_vertex_walk_reference,
+                                 rotation_reference, signed_area2,
                                  trace_faces_reference)
 
 SQUARE_PGG = """\
@@ -388,10 +390,12 @@ def test_is_hamilton_cycle(square, domino):
 
 def _hamilton_by_classify(e, g):
     """The definition is_hamilton_cycle had before it worked on edge
-    masks: every id an edge of g, and e one cycle of |V| edges."""
+    masks: every id an edge of g, and e one cycle of |V| edges, read by
+    the adjacency-dict reference, since `classify_edge_set` shares the
+    library's walk."""
     if any(not 0 <= eid < g.size for eid in e):
         return False
-    c = classify_edge_set(e, g)
+    c = classify_edge_set_reference(e, g)
     return c.tag == "single-cycle" and c.length == g.order
 
 
@@ -423,17 +427,62 @@ def test_is_hamilton_cycle_matches_the_classify_definition():
     assert counts[True] > 800 and counts[False] > 9000, counts
 
 
-def test_is_hamilton_cycle_rejects_two_disjoint_squares():
-    # |V| edges, two at every vertex, but two components.
-    g = gen_grid(4, 2)
+def _disjoint_squares(k):
+    """Every other cell of the 2k x 2 grid, from the first: k squares that
+    hold |V| edges, two at every vertex, in k components."""
+    g = gen_grid(2 * k, 2)
     basis = trace_faces(g)
-    cells = [next(face.edges for face in basis.faces
-                  if min(g.coords[v] for v in face.vertices) == corner)
-             for corner in ((0, 0), (2, 0))]
-    e = cells[0] | cells[1]
+    return g, frozenset().union(*(
+        face.edges for face in basis.faces
+        if min(g.coords[v] for v in face.vertices)[0] % 2 == 0))
+
+
+def test_is_hamilton_cycle_rejects_two_disjoint_squares():
+    g, e = _disjoint_squares(2)
     assert len(e) == g.order
     assert classify_edge_set(e, g).tag == "disjoint-cycles"
     assert not is_hamilton_cycle(e, g)
+
+
+def _lollipop():
+    """A face of the 3 x 2 grid with a tail at vertex 2."""
+    g = gen_grid(3, 2)
+    return g, trace_faces(g).faces[1].edges | {1}
+
+
+def _outcome(read, *args):
+    """What read returns, or the message of the ValueError it raises."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def test_edge_set_readings_match_the_adjacency_reference(fig8):
+    # classify_edge_set, cycle_vertex_walk and enclosed_faces read one
+    # walk along the edge mask; the reference reads an adjacency dict.
+    named = [_disjoint_squares(2), _disjoint_squares(3), _lollipop(),
+             (fig8, sym_diff_all(f.edges for f in trace_faces(fig8).faces))]
+    tags = set()
+    last = None
+    for g, e in itertools.chain(_hamilton_check_cases(), named):
+        if g is not last:
+            basis, last = trace_faces(g), g
+        want = _outcome(classify_edge_set_reference, e, g)
+        assert _outcome(classify_edge_set, e, g) == want, (g.name, sorted(e))
+        assert (_outcome(cycle_vertex_walk, e, g)
+                == _outcome(cycle_vertex_walk_reference, e, g)), g.name
+        inside = _outcome(enclosed_faces, e, basis, g)
+        if not isinstance(want, CycleClass):
+            assert inside == want, (g.name, sorted(e))
+        elif want.tag == "single-cycle":
+            assert sym_diff_all(basis.faces[i].edges for i in inside) == e
+        else:
+            assert inside == (
+                "ValueError", f"edge set is not a single cycle: {want.tag}")
+        tags.add(want.tag if isinstance(want, CycleClass) else "foreign")
+    assert tags == {"empty", "other", "single-cycle", "disjoint-cycles",
+                    "foreign"}
 
 
 def test_enclosed_faces_square(square):
@@ -579,12 +628,9 @@ def test_foreign_edge_ids_are_refused(square):
 
 
 def test_cycle_vertex_walk_rejects_non_cycles():
-    g = gen_grid(3, 2)
-    basis = trace_faces(g)
-    face = basis.faces[1].edges
+    g, lollipop = _lollipop()
+    face = trace_faces(g).faces[1].edges
     assert cycle_vertex_walk(face, g) == [2, 3, 5, 4]
-    # The face's square with a tail at vertex 2: a lollipop.
-    lollipop = face | {1}
     assert classify_edge_set(lollipop, g).tag == "other"
     with pytest.raises(ValueError, match="not a single cycle"):
         cycle_vertex_walk(lollipop, g)

@@ -345,7 +345,7 @@ def test_single_ck_removal_matches_the_general_peel(monkeypatch,
     monkeypatch.setattr(holes, "is_global_hole", checked)
     for g in graphs:
         solved.clear()
-        for _ in hole_contexts(g, BasisGraph(g, trace_faces(g)), 3):
+        for _ in hole_contexts(BasisGraph(g, trace_faces(g)), 3):
             seen["contexts"] += 1
     assert repeats == []
     assert seen["contexts"] > 10000
@@ -389,7 +389,7 @@ def test_every_hamilton_cycle_puts_a_global_hole_face_inside():
     for g in list(enumerate_polyominoes(8)) + [gen_grid(4, 5)]:
         basis = trace_faces(g)
         found = [ctx for ctx, hole in
-                 hole_contexts(g, BasisGraph(g, basis), 3) if hole]
+                 hole_contexts(BasisGraph(g, basis), 3) if hole]
         if not found:
             continue
         assert g.order <= 20, g.name
@@ -426,7 +426,7 @@ def test_hole_contexts_calls_each_step_once_per_context(monkeypatch):
         monkeypatch.setattr(holes, name, counting(name))
     for g in (gen_grid(4, 5), gen_grid(5, 6)):
         calls.clear()
-        found = list(hole_contexts(g, BasisGraph(g, trace_faces(g)), 3))
+        found = list(hole_contexts(BasisGraph(g, trace_faces(g)), 3))
         assert found
         assert calls["build_context"] == len(found), g.name
         assert calls["is_global_hole"] == len(found), g.name
@@ -447,7 +447,7 @@ def test_one_search_builds_each_face_sets_equation_once(monkeypatch,
     for g in (gen_grid(5, 6), gen_grid(6, 4, [(1, 1), (2, 1)]),
               bridged_blocks):
         built.clear()
-        found = list(hole_contexts(g, BasisGraph(g, trace_faces(g)), 3))
+        found = list(hole_contexts(BasisGraph(g, trace_faces(g)), 3))
         assert found and built, g.name
         assert len(set(built)) == len(built), g.name
 
@@ -524,11 +524,11 @@ def test_hole_contexts_match_the_unshared_reference(monkeypatch,
     for g in graphs:
         bg = BasisGraph(g, trace_faces(g))
         for max_cx in (1, 2, 3):
-            expected = list(hole_contexts_reference(g, bg, max_cx))
+            expected = list(hole_contexts_reference(bg, max_cx))
             seen.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(BasisGraph, "is_removable", recording)
-                got = list(hole_contexts(g, bg, max_cx))
+                got = list(hole_contexts(bg, max_cx))
             assert got == expected, (g.name, max_cx)
             assert len(set(seen)) == len(seen), (g.name, max_cx)
             holes_found += sum(hole for _, hole in got)
@@ -589,10 +589,10 @@ def test_the_walk_descends_only_below_feasible_residuals(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(BasisGraph, "is_removable", testing)
             patch.setattr(BasisGraph, "remove_face", removing)
-            list(hole_contexts(g, bg, 3))
+            list(hole_contexts(bg, 3))
             walked, below = set(tested), residuals[:]
             tested.clear()
-            list(hole_contexts_reference(g, bg, 3))
+            list(hole_contexts_reference(bg, 3))
             unpruned = set(tested)
         infeasible = {r.face_mask for r in below
                       if r.face_mask != bg.face_mask
@@ -720,7 +720,7 @@ def test_hole_search_leaves_no_residual_alive():
     try:
         assert decide(gen_grid(4, 5), claw_mode="lenient").tag == GLOBAL_HOLE
         g = gen_grid(5, 6)
-        found = list(hole_contexts(g, BasisGraph(g, trace_faces(g)), 3))
+        found = list(hole_contexts(BasisGraph(g, trace_faces(g)), 3))
         assert found and not any(hole for _, hole in found)
         left = [r for r in residuals() if not any(r is b for b in before)]
     finally:
@@ -848,7 +848,7 @@ def test_decide_rejects_unknown_mode(square, fig8, grid3):
         with pytest.raises(ValueError, match="max_cx must be >= 1"):
             decide(g, claw_mode="lenient", max_cx=0)
         with pytest.raises(ValueError, match="max_cx must be >= 1"):
-            next(hole_contexts(g, BasisGraph(g, trace_faces(g)), 0))
+            next(hole_contexts(BasisGraph(g, trace_faces(g)), 0))
         with pytest.raises(ValueError, match="max_size must be >= 1"):
             candidate_Cx(BasisGraph(g, trace_faces(g)), min(g.coords), 0)
 

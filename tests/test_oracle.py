@@ -388,6 +388,29 @@ def test_compare_rejects_a_name_that_leaves_save_dir(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
+def test_compare_rejects_a_name_write_pgg_cannot_write(tmp_path, monkeypatch):
+    # Both dominoes disagree in strict mode; the second name is refused
+    # before that graph is decided, not when its candidate is written.
+    domino = fixtures.domino()
+    real_decide = oracle.decide
+    decided = []
+
+    def recording(g, *args, **kwargs):
+        decided.append(g.name)
+        return real_decide(g, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "decide", recording)
+    for k, bad in enumerate(("a b", "", "x#y", "tab\tname")):
+        save_dir = tmp_path / f"saved{k}"
+        graphs = [PlanarEmbedding(domino.coords, domino.edges, name=name)
+                  for name in ("first", bad)]
+        decided.clear()
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            compare(graphs, claw_mode="strict", save_dir=save_dir)
+        assert decided == ["first"]
+        assert [p.name for p in save_dir.iterdir()] == ["first.pgg"]
+
+
 def test_compare_empty_stream():
     report = compare([])
     assert report.totals == {"graphs": 0, "agree": 0, "disagree": 0,
